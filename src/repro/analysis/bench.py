@@ -15,14 +15,12 @@ the cycle-skipping engine (the default) and once on the strict
 per-cycle path (``cycle_skip=False``, the engine PR 2 shipped). Both
 throughputs are recorded, so ``speedup`` — the machine-independent
 ratio between them — tracks whether the skip engine keeps paying off.
-The ``flags`` mode is likewise timed four ways: under the default
-engine stack (trace-JIT closures over cross-warp batching over the
-struct-of-arrays lane engine), under the generic issue path
-(``REPRO_TRACE_JIT=0``), under the per-warp vector path
-(``REPRO_WARP_BATCH=0``), and under the dict-layout reference
-(``REPRO_VECTOR_LANES=0``); ``jit_speedup``, ``batch_speedup`` and
-``vector_speedup`` are the within-run ratios against the reference
-walls.
+The ``flags`` mode is likewise timed three ways: under the default
+engine stack (cross-warp batching over the struct-of-arrays lane
+engine), under the per-warp vector path (``REPRO_WARP_BATCH=0``), and
+under the dict-layout reference (``REPRO_VECTOR_LANES=0``);
+``batch_speedup`` and ``vector_speedup`` are the within-run ratios
+against the reference walls.
 
 Usage::
 
@@ -97,16 +95,18 @@ from repro.workloads.suite import Workload, get_workload
 #: ``batch_speedup`` fields. v6 keeps the per-run wall samples
 #: (``wall_samples`` plus ``wall_stddev`` / ``wall_min`` /
 #: ``wall_median`` on every record), times the flags mode with the
-#: trace JIT off (``REPRO_TRACE_JIT=0``) adding
-#: ``wall_seconds_nojit`` / ``cycles_per_second_jit`` /
-#: ``jit_speedup``, and times compilation with the result cache
-#: bypassed so ``compile_seconds`` can never be a memo lookup. v7 adds
-#: the optional ``service`` section (``--service``): the simulation
-#: daemon under zipf-distributed concurrent load — served wall clock
-#: vs. the no-cache sequential baseline, single-flight dedupe factors,
-#: and the count of responses that failed bit-identity verification
-#: against direct runs.
-SCHEMA = "repro-bench-hotpath/7"
+#: trace-compiled closure engine off (retired in v8), and times
+#: compilation with the result cache bypassed so ``compile_seconds``
+#: can never be a memo lookup. v7 adds the optional ``service`` section
+#: (``--service``): the simulation daemon under zipf-distributed
+#: concurrent load — served wall clock vs. the no-cache sequential
+#: baseline, single-flight dedupe factors, and the count of responses
+#: that failed bit-identity verification against direct runs. v8
+#: deletes the closure engine and its four v6 flags-mode fields (off
+#: wall, samples, alias throughput, speedup) and its gate floor;
+#: older reference files still gate, and their extra fields are
+#: ignored.
+SCHEMA = "repro-bench-hotpath/8"
 
 #: The fixed sample: small/medium kernels spanning ALU-heavy
 #: (matrixmul), divergent (blackscholes) and barrier-heavy (reduction)
@@ -154,19 +154,6 @@ GATE_VECTOR_SPEEDUP_FLOOR = 1.05
 #: fails only if the batch engine starts actively costing wall time —
 #: not a claimed win.
 GATE_BATCH_SPEEDUP_FLOOR = 0.70
-
-#: Minimum flags-mode trace-JIT speedup (specialized issue closures
-#: vs. the generic batch issue path, measured within the same run) the
-#: gate accepts. Honest measurement on the bench sample puts the JIT
-#: at ~1.0x–1.06x, not the 1.5x the issue targeted: after PR 6 the
-#: engine is no longer dispatch-bound (see ROADMAP — the remaining
-#: wall is spread across the tick scan, register-file allocate/free
-#: and the deferred-execute flush, with no per-instruction dispatch
-#: tier left to delete), so the closures win only their ~27% share of
-#: the wall. The floor is therefore a pure *non-regression* bound set
-#: below the noise band — it fails only if the JIT starts actively
-#: costing wall time — mirroring GATE_BATCH_SPEEDUP_FLOOR.
-GATE_JIT_SPEEDUP_FLOOR = 0.90
 
 #: Experiment sample for the pipeline benchmark: fig10 and fig14 share
 #: their all-workload virtualized runs (high dedup), fig11b and the
@@ -233,8 +220,8 @@ def _time_engine_off(
     run, repeats: int, flag: str
 ) -> tuple[float, list[float]]:
     """Best-of-``repeats`` wall time (plus the raw samples) of ``run``
-    with one engine flag (``REPRO_VECTOR_LANES``, ``REPRO_WARP_BATCH``
-    or ``REPRO_TRACE_JIT``) forced to ``0`` for the timed region only.
+    with one engine flag (``REPRO_VECTOR_LANES`` or
+    ``REPRO_WARP_BATCH``) forced to ``0`` for the timed region only.
     Cores resolve the flags at construction, inside the ``simulate``
     call, so an env override around the call is exact."""
     prior = os.environ.get(flag)
@@ -344,10 +331,9 @@ def _bench_mode(
         # The flags flow is where the fast engines bind their inlined
         # issue/tick paths; time each reference engine too so the
         # ratios are measured within one run. The default ``wall``
-        # above already runs the full stack (trace JIT over cross-warp
-        # batching over the vector lane engine), so
-        # ``cycles_per_second_batch`` / ``cycles_per_second_jit`` are
-        # its explicit aliases and the speedups divide the reference
+        # above already runs the full stack (cross-warp batching over
+        # the vector lane engine), so ``cycles_per_second_batch`` is
+        # its explicit alias and the speedups divide the reference
         # walls by it.
         wall_scalar, samples_scalar = _time_engine_off(
             run, repeats, "REPRO_VECTOR_LANES"
@@ -369,15 +355,6 @@ def _bench_mode(
             wall_nobatch / wall if wall > 0 else 0.0
         )
         record["wall_samples_nobatch"] = samples_nobatch
-        wall_nojit, samples_nojit = _time_engine_off(
-            run, repeats, "REPRO_TRACE_JIT"
-        )
-        record["wall_seconds_nojit"] = wall_nojit
-        record["cycles_per_second_jit"] = record["cycles_per_second"]
-        record["jit_speedup"] = (
-            wall_nojit / wall if wall > 0 else 0.0
-        )
-        record["wall_samples_nojit"] = samples_nojit
     return record
 
 
@@ -405,7 +382,6 @@ def run_benchmark(
         wall_noskip = 0.0
         wall_scalar = 0.0
         wall_nobatch = 0.0
-        wall_nojit = 0.0
         cycles = 0
         instructions = 0
         ticks = 0
@@ -423,7 +399,6 @@ def run_benchmark(
             wall_noskip += record.get("wall_seconds_noskip", 0.0)
             wall_scalar += record.get("wall_seconds_scalar", 0.0)
             wall_nobatch += record.get("wall_seconds_nobatch", 0.0)
-            wall_nojit += record.get("wall_seconds_nojit", 0.0)
             cycles += record["cycles"]
             instructions += record["instructions"]
             ticks += record["ticks_executed"]
@@ -462,13 +437,6 @@ def run_benchmark(
             ]
             summary["batch_speedup"] = (
                 wall_nobatch / wall if wall > 0 else 0.0
-            )
-            summary["wall_seconds_nojit"] = wall_nojit
-            summary["cycles_per_second_jit"] = summary[
-                "cycles_per_second"
-            ]
-            summary["jit_speedup"] = (
-                wall_nojit / wall if wall > 0 else 0.0
             )
         modes[mode] = summary
     total_wall = sum(m["wall_seconds"] for m in modes.values())
@@ -573,8 +541,7 @@ _REQUIRED_SHRINK_FIELDS = (
 )
 
 #: Extra fields the flags mode must carry (v4: both register-state
-#: engines are timed; v5: the per-warp no-batch reference too; v6:
-#: the trace-JIT-off reference).
+#: engines are timed; v5: the per-warp no-batch reference too).
 _REQUIRED_FLAGS_FIELDS = (
     ("wall_seconds_scalar", (int, float)),
     ("cycles_per_second_scalar", (int, float)),
@@ -582,9 +549,6 @@ _REQUIRED_FLAGS_FIELDS = (
     ("wall_seconds_nobatch", (int, float)),
     ("cycles_per_second_batch", (int, float)),
     ("batch_speedup", (int, float)),
-    ("wall_seconds_nojit", (int, float)),
-    ("cycles_per_second_jit", (int, float)),
-    ("jit_speedup", (int, float)),
 )
 
 #: Fields the optional ``pipeline`` section must carry when present.
@@ -809,13 +773,6 @@ def compare_bench(old: dict, new: dict) -> str:
             f"flags batch-engine speedup (cross-warp vs per-warp): "
             f"old {fmt(old_bat)}  new {fmt(new_bat)}"
         )
-    old_jit = old.get("modes", {}).get("flags", {}).get("jit_speedup")
-    new_jit = new.get("modes", {}).get("flags", {}).get("jit_speedup")
-    if old_jit is not None or new_jit is not None:
-        lines.append(
-            f"flags trace-JIT speedup (closures vs generic issue): "
-            f"old {fmt(old_jit)}  new {fmt(new_jit)}"
-        )
     old_pipe = (old.get("pipeline") or {}).get("speedup")
     new_pipe = (new.get("pipeline") or {}).get("speedup")
     if old_pipe is not None or new_pipe is not None:
@@ -910,19 +867,6 @@ def gate_bench(old: dict, new: dict, pct: float) -> list[str]:
                 f"gate: flags batch-engine speedup {batch:.2f}x below "
                 f"floor {GATE_BATCH_SPEEDUP_FLOOR:.2f}x"
             )
-    # And again for the trace JIT, gated only once the reference file
-    # carries the v6 fields so pre-v6 files keep gating cleanly. The
-    # floor is a non-regression bound — the honest measured speedup is
-    # ~1.0x, see GATE_JIT_SPEEDUP_FLOOR.
-    if "jit_speedup" in old.get("modes", {}).get("flags", {}):
-        jit = new.get("modes", {}).get("flags", {}).get("jit_speedup")
-        if jit is None:
-            errors.append("gate: new results lack flags jit_speedup")
-        elif jit < GATE_JIT_SPEEDUP_FLOOR:
-            errors.append(
-                f"gate: flags trace-JIT speedup {jit:.2f}x below "
-                f"floor {GATE_JIT_SPEEDUP_FLOOR:.2f}x"
-            )
     # The pipeline section is gated only when the reference file has
     # one (older files predate it; plain --quick runs omit it).
     if old.get("pipeline") is not None:
@@ -1012,13 +956,8 @@ def _report(data: dict) -> str:
         f"flags per-warp vector path: "
         f"{flags['wall_seconds_nobatch']:.2f}s -> cross-warp batching "
         f"at {flags['batch_speedup']:.2f}x (workload-dependent; "
-        f"parity means the sample's warps rarely run lockstep)"
-    )
-    lines.append(
-        f"flags generic issue path: "
-        f"{flags['wall_seconds_nojit']:.2f}s -> trace JIT at "
-        f"{flags['jit_speedup']:.2f}x "
-        f"(wall stddev {flags['wall_stddev'] * 1000:.1f}ms over "
+        f"parity means the sample's warps rarely run lockstep; "
+        f"wall stddev {flags['wall_stddev'] * 1000:.1f}ms over "
         f"{flags['runs']} runs)"
     )
     lines.append(f"total wall: {data['total']['wall_seconds']:.2f}s")

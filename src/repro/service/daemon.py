@@ -40,6 +40,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.cache import ResultCache, cache_env_value, get_cache
@@ -49,6 +50,10 @@ from repro.service.client import DEFAULT_SOCKET, format_address, parse_address
 
 #: Latency samples kept for the stats endpoint's percentiles.
 _LATENCY_WINDOW = 512
+
+#: Longest request line a connection accepts (asyncio's default stream
+#: limit, passed explicitly so the error message can name it).
+LINE_LIMIT = 64 * 1024
 
 
 @dataclass
@@ -114,6 +119,35 @@ def _execute_request(request: dict) -> tuple[dict, list]:
     )
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """Read one request line (``b""`` at end of stream).
+
+    A line longer than :data:`LINE_LIMIT` is read to its end and
+    dropped, so the connection stays in step with the client, and
+    raises :class:`~repro.service.protocol.ProtocolError`.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        overrun = exc
+    while True:
+        # ``consumed`` bytes of the line are buffered: drop them, then
+        # look for the line's end in what follows.
+        await reader.readexactly(overrun.consumed)
+        try:
+            await reader.readuntil(b"\n")
+            break
+        except asyncio.IncompleteReadError:
+            break
+        except asyncio.LimitOverrunError as exc:
+            overrun = exc
+    raise protocol.ProtocolError(
+        f"request line exceeds {LINE_LIMIT} bytes"
+    )
+
+
 class SimulationDaemon:
     """The asyncio server core (transport-independent; see :func:`serve`)."""
 
@@ -146,9 +180,20 @@ class SimulationDaemon:
         """Execute one simulate request on the pool (monkeypatchable in
         tests); absorbs the worker's cache exports."""
         loop = asyncio.get_running_loop()
-        payload, exports = await loop.run_in_executor(
-            self._pool(), _execute_request, request
-        )
+        pool = self._pool()
+        try:
+            payload, exports = await loop.run_in_executor(
+                pool, _execute_request, request
+            )
+        except BrokenProcessPool:
+            # A worker died, which leaves the executor unusable. Every
+            # request in flight on it fails here; dropping it lets the
+            # next request build a fresh pool. The identity check keeps
+            # a later in-flight failure from dropping that new pool.
+            if self._executor is pool:
+                self._executor = None
+                pool.shutdown(wait=False, cancel_futures=True)
+            raise
         self.cache.absorb(exports, persist=not self._workers_share_disk)
         return payload
 
@@ -263,10 +308,10 @@ class SimulationDaemon:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
                 try:
+                    line = await _read_line(reader)
+                    if not line:
+                        break
                     payload = protocol.decode_line(line)
                 except protocol.ProtocolError as exc:
                     self.metrics.requests += 1
@@ -295,11 +340,12 @@ class SimulationDaemon:
         kind, *where = parse_address(address)
         if kind == "unix":
             return await asyncio.start_unix_server(
-                self._handle_connection, path=where[0]
+                self._handle_connection, path=where[0], limit=LINE_LIMIT
             )
         host, port = where
         return await asyncio.start_server(
-            self._handle_connection, host=host, port=port
+            self._handle_connection, host=host, port=port,
+            limit=LINE_LIMIT,
         )
 
     async def run(self, address: str, ready=None) -> None:

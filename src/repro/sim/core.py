@@ -338,32 +338,6 @@ class SMCore:
             self._try_issue = self._try_issue_batch
             self.tick = self._tick_batch
 
-        # Trace-level JIT engine (see docs/INTERNALS.md, "Trace-level
-        # JIT"): basic-block runs are compiled into specialized
-        # closures — per-pc issue closures replacing the planned fast
-        # path of ``_try_issue_batch`` and whole-run value closures
-        # replacing the per-step flush dispatch. ``REPRO_TRACE_JIT=0``
-        # keeps the batch engine as the strict reference. The JIT
-        # composes on top of the batch engine only (same binding
-        # preconditions); closures bail to the interpreter before any
-        # side effect whenever the front end is not clean.
-        env_jit = os.environ.get("REPRO_TRACE_JIT", "1")
-        self.trace_jit = env_jit.strip().lower() not in (
-            "0", "off", "false"
-        )
-        self._jit = None
-        if (
-            self.trace_jit
-            and self.tick.__func__ is SMCore._tick_batch
-            and self._decode_cache is not None
-        ):
-            from repro.sim.jit import ensure_jit
-
-            program = ensure_jit(self._decode_cache, kernel, config)
-            if program.has_runs:
-                self._jit = program
-                self.tick = self._tick_jit
-
     # ------------------------------------------------------------------ events
     def _push_event(self, cycle: int, kind: str, payload: tuple) -> None:
         heapq.heappush(self._events, (cycle, next(self._seq), kind, payload))
@@ -1271,8 +1245,7 @@ class SMCore:
         return arr
 
     def _try_issue_batch(self, warp: Warp, now: int,
-                         forbid_alloc: bool = False,
-                         top=None) -> _Issue:
+                         forbid_alloc: bool = False) -> _Issue:
         """Cross-warp batch issue path (``REPRO_WARP_BATCH=1``).
 
         ``_try_issue_vector`` with the *value* computation of ALU/SETP
@@ -1287,16 +1260,11 @@ class SMCore:
         lag. Bound only where the static plans are exact (see
         ``__init__``); the equivalence grids pin every
         :class:`SimStats` field against the vector engine.
-
-        ``top`` lets the trace-JIT tick pass the stack top it already
-        reconverged while choosing a closure, skipping the duplicate
-        prologue on interpreter fallbacks.
         """
         stack = warp.stack
-        if top is None:
-            if len(stack._stack) > 1:
-                stack.maybe_reconverge()
-            top = stack._stack[-1]
+        if len(stack._stack) > 1:
+            stack.maybe_reconverge()
+        top = stack._stack[-1]
         stats = self.stats
 
         decode = self._decode
@@ -1776,7 +1744,6 @@ class SMCore:
         bufs = self._batch_bufs
         mask_of = self._mask_of
         bank_acc = stats.rf_bank_accesses
-        jit = self._jit
         i = 0
         n = len(items)
         while i < n:
@@ -1819,21 +1786,10 @@ class SMCore:
                                 for bank, c in incs:
                                     bank_acc[bank] += c * cnt
                             stats.instructions += total * k
-                        if jit is not None and len(warps) < 4:
-                            # Below the 2-D gather threshold the group
-                            # path degenerates to per-warp singles, so
-                            # the fused whole-run closure wins. Warps'
-                            # banks are disjoint and runs touch no
-                            # memory, so warp-major order computes the
-                            # same values as the step-major reference.
-                            run_fn = jit.run_single[d.run_id]
-                            for w2, mi2 in zip(warps, masks):
-                                run_fn(w2, mi2, mask_of(mi2))
-                        else:
-                            for step in steps:
-                                execute_deferred_group(
-                                    step, warps, masks, bufs, mask_of
-                                )
+                        for step in steps:
+                            execute_deferred_group(
+                                step, warps, masks, bufs, mask_of
+                            )
                         if limit is None:
                             for w in warps:
                                 w._dq_tail = -1
@@ -1863,11 +1819,7 @@ class SMCore:
             if len(warps) == 1:
                 w = warps[0]
                 mi = masks[0]
-                value_fn = jit.value[pc] if jit is not None else None
-                if value_fn is not None:
-                    value_fn(w, mi, mask_of(mi))
-                else:
-                    execute_deferred_single(d, w, mi, mask_of(mi))
+                execute_deferred_single(d, w, mi, mask_of(mi))
                 if limit is None or w._dq_tail <= limit:
                     w._dq_tail = -1
             else:
@@ -2424,143 +2376,6 @@ class SMCore:
                         continue
                     warp._sb_wait = False
                 outcome = try_issue(warp, now)
-                if outcome is is_issued:
-                    try:
-                        sched._rr = (ready.index(warp) + 1) % len(ready)
-                    except ValueError:
-                        sched.issued(warp)
-                    stats.issued += 1
-                    issued = True
-                    break
-                if outcome is is_scoreboard:
-                    sb_stalls += 1
-                    warp._sb_wait = True
-                    if warp._sb_until < _SB_INF:
-                        self._sb_wakeups.add(warp)
-                else:
-                    stats.stall_no_free_register += 1
-                    alloc_blocked = True
-            if not issued:
-                no_ready += 1
-            issued_any = issued_any or issued
-        stats.issue_slots += len(self.schedulers)
-        if no_ready:
-            stats.stall_no_ready_warp += no_ready
-        if sb_stalls:
-            stats.stall_scoreboard += sb_stalls
-
-        self.cycle = now + 1
-        if issued_any:
-            self._alloc_fail_streak = 0
-            return
-        if alloc_blocked:
-            self._alloc_fail_streak += 1
-            if self._alloc_fail_streak >= SPILL_TRIGGER_CYCLES:
-                if self._maybe_spill(now):
-                    return
-        if skip:
-            self._skip_ahead(now, alloc_blocked, snap, None)
-        elif self._next_wake(now + 1) is None:
-            self._force_spill_or_deadlock(alloc_blocked)
-
-    def _tick_jit(self) -> None:
-        """Trace-JIT tick (``REPRO_TRACE_JIT`` over the batch engine):
-        ``_tick_batch`` with the issue call routed through the per-pc
-        compiled closures (``repro.sim.jit``). The pir/reconverge
-        prologue of ``_try_issue_batch`` is hoisted inline so the
-        warp's current pc can select a closure; pcs outside any run —
-        and closures that bail (unmapped renaming entry, off-bank
-        state) — fall back to the interpreter, which re-runs its own
-        idempotent prologue. Everything else is line-for-line
-        ``_tick_batch``."""
-        now = self.cycle
-        events = self._events
-        if events and events[0][0] <= now:
-            schedulers = self.schedulers
-            nsched = len(schedulers)
-            heappop = heapq.heappop
-            while events and events[0][0] <= now:
-                _, _, kind, payload = heappop(events)
-                if kind == "wb":
-                    warp, inst = payload
-                    if inst.dst is not None:
-                        warp.pending_regs.discard(inst.dst)
-                    if inst.pdst is not None:
-                        warp.pending_preds.discard(inst.pdst)
-                    warp._sb_wait = False
-                elif kind == "mem_wb":
-                    warp, inst = payload
-                    if inst.dst is not None:
-                        warp.pending_regs.discard(inst.dst)
-                    if inst.pdst is not None:
-                        warp.pending_preds.discard(inst.pdst)
-                    warp._sb_wait = False
-                    warp.outstanding_mem -= 1
-                    if warp.outstanding_mem == 0:
-                        schedulers[warp.slot % nsched]._refill_dirty = True
-                else:  # pragma: no cover - defensive
-                    raise SimulationError(f"unknown event kind {kind}")
-        if self.cta_queue:
-            self._launch_ctas(now)
-
-        stats = self.stats
-        stats.ticks_executed += 1
-        skip = self.cycle_skip
-        if skip:
-            snap = (
-                stats.stall_scoreboard,
-                stats.stall_no_free_register,
-                stats.stall_throttled,
-                stats.renaming_reads,
-                stats.renaming_conflict_cycles,
-            )
-        active = WarpStatus.ACTIVE
-        issued_any = False
-        alloc_blocked = False
-        sb_stalls = 0
-        no_ready = 0
-        try_issue = self._try_issue
-        jit_issue = self._jit.issue
-        is_issued = _Issue.ISSUED
-        is_scoreboard = _Issue.SCOREBOARD
-        for sched in self.schedulers:
-            if (
-                sched.pending
-                and sched._refill_dirty
-                and len(sched.ready) < sched.ready_size
-            ):
-                sched.refill()
-            issued = False
-            ready = sched.ready
-            rr = sched._rr
-            snapshot = sched._snapshot
-            snapshot.clear()
-            if rr:
-                snapshot.extend(ready[rr:])
-                snapshot.extend(ready[:rr])
-            else:
-                snapshot.extend(ready)
-            for warp in snapshot:
-                if warp.status is not active:
-                    continue
-                if now < warp.stalled_until:
-                    continue
-                if warp._sb_wait:
-                    if now < warp._sb_until:
-                        sb_stalls += 1
-                        continue
-                    warp._sb_wait = False
-                stack = warp.stack
-                if len(stack._stack) > 1:
-                    stack.maybe_reconverge()
-                top = stack._stack[-1]
-                closure = jit_issue[top.pc]
-                if closure is not None:
-                    outcome = closure(self, warp, now, top)
-                    if outcome is None:
-                        outcome = try_issue(warp, now, False, top)
-                else:
-                    outcome = try_issue(warp, now, False, top)
                 if outcome is is_issued:
                     try:
                         sched._rr = (ready.index(warp) + 1) % len(ready)

@@ -294,8 +294,7 @@ class BlockRun:
 class DecodeCache:
     """One kernel's decoded instructions plus the key they match."""
 
-    __slots__ = ("entries", "num_banks", "threshold", "mode", "runs",
-                 "jit")
+    __slots__ = ("entries", "num_banks", "threshold", "mode", "runs")
 
     def __init__(self, entries: list[DecodedInst], num_banks: int,
                  threshold: int, mode: str):
@@ -303,31 +302,16 @@ class DecodeCache:
         self.num_banks = num_banks
         self.threshold = threshold
         self.mode = mode
-        # Trace-JIT program (REPRO_TRACE_JIT; see repro.sim.jit), built
-        # lazily by the first core that wants it. Hanging it off the
-        # cache ties closure lifetime to decode lifetime: a rebuilt
-        # cache can never serve stale closures.
-        self.jit = None
         # Basic-block fusion runs (batch engine tier 2): maximal
         # stretches of consecutive deferrable instructions with issue
-        # plans. Entries outside any run keep ``run_id = None``. Runs
-        # also split at branch-target leaders so a jump can never land
-        # mid-run — required by the trace JIT, whose whole-run closures
-        # assume entry at ``start_pc`` (stats-neutral for the batch
-        # engine: ``combined_plan`` is additive over steps).
-        leaders = {
-            e.target_pc for e in entries
-            if e.is_branch and e.target_pc is not None
-        }
+        # plans. Entries outside any run keep ``run_id = None``. A jump
+        # may land mid-run: the flush loop then finds no matching group
+        # at the run's start pc and takes the per-pc path instead.
         self.runs: list[BlockRun] = []
         start = None
         for pc, entry in enumerate(entries):
             if entry.deferrable and entry.batch_plan is not None:
-                if start is not None and pc in leaders:
-                    if pc - start >= 2:
-                        self._seal_run(entries[start:pc], start)
-                    start = pc
-                elif start is None:
+                if start is None:
                     start = pc
                 continue
             if start is not None and pc - start >= 2:

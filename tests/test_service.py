@@ -11,13 +11,18 @@ The serving contract under test:
 * served responses are bit-identical per ``SimStats`` field to a
   direct uncached run — the service may never change an answer;
 * failures propagate to every coalesced waiter as error responses and
-  never poison the key or leak a pin.
+  never poison the key or leak a pin;
+* the daemon survives injected faults: a worker killed mid-request
+  fails only that request, and an over-limit request line gets an
+  error response on a connection that keeps serving.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import os
+import signal
 import threading
 
 import pytest
@@ -34,7 +39,7 @@ from repro.service.client import (
     parse_address,
     wait_until_ready,
 )
-from repro.service.daemon import SimulationDaemon, serve
+from repro.service.daemon import LINE_LIMIT, SimulationDaemon, serve
 from repro.sim.stats import SimStats
 from repro.workloads.suite import get_workload
 
@@ -295,6 +300,76 @@ class TestSingleFlight:
             unknown = await daemon.handle_request({"op": "dance"})
             assert unknown["ok"] is False
             assert daemon.metrics.errors == 2
+
+        asyncio.run(scenario())
+
+
+class TestFaults:
+    def test_crashed_worker_fails_only_its_request(self):
+        async def scenario():
+            daemon = SimulationDaemon(cache=ResultCache(), jobs=1)
+            try:
+                doomed = asyncio.create_task(daemon.handle_request(
+                    protocol.spec_to_request(
+                        _spec(name="matrixmul", scale=0.5)
+                    )
+                ))
+                # Submitting the work item starts the pool's worker;
+                # kill it before it can answer.
+                while daemon._executor is None or not (
+                    daemon._executor._processes
+                ):
+                    await asyncio.sleep(0.001)
+                for pid in list(daemon._executor._processes):
+                    os.kill(pid, signal.SIGKILL)
+                response = await doomed
+                assert response["ok"] is False
+                assert "BrokenProcessPool" in response["error"]
+                assert daemon._executor is None
+                assert not daemon._inflight
+                assert not daemon.cache.pinned()
+
+                # The next request gets a fresh pool and succeeds.
+                again = await daemon.handle_request(
+                    protocol.spec_to_request(_spec())
+                )
+                assert again["ok"] is True
+                assert again["served"] == "executed"
+                assert daemon.metrics.errors == 1
+                assert daemon.metrics.executed == 1
+            finally:
+                if daemon._executor is not None:
+                    daemon._executor.shutdown(wait=True)
+
+        asyncio.run(scenario())
+
+    def test_oversized_line_gets_an_error_response(self, tmp_path):
+        async def scenario():
+            daemon = SimulationDaemon(cache=ResultCache(), jobs=1)
+            address = str(tmp_path / "svc.sock")
+            server = await daemon.start(address)
+            try:
+                reader, writer = await asyncio.open_unix_connection(
+                    address
+                )
+                huge = {"op": "ping", "pad": "x" * (70 * 1024)}
+                writer.write(protocol.encode_line(huge))
+                await writer.drain()
+                response = protocol.decode_line(await reader.readline())
+                assert response["ok"] is False
+                assert str(LINE_LIMIT) in response["error"]
+                assert daemon.metrics.errors == 1
+
+                # The connection survives and stays in step.
+                writer.write(protocol.encode_line({"op": "ping"}))
+                await writer.drain()
+                pong = protocol.decode_line(await reader.readline())
+                assert pong["ok"] is True and pong["pong"] is True
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                server.close()
+                await server.wait_closed()
 
         asyncio.run(scenario())
 

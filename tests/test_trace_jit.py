@@ -1,216 +1,122 @@
-"""Trace-level JIT engine equivalence (``REPRO_TRACE_JIT``).
+"""The retired trace-JIT flag stays inert.
 
-The JIT compiles each basic-block run from the decode cache into
-specialized Python closures — per-pc issue closures replacing the
-planned fast path of the generic batch issue, and whole-run value
-closures replacing the per-step flush dispatch — with operand lookups
-hoisted and per-instruction dispatch eliminated. ``REPRO_TRACE_JIT=0``
-keeps the batch engine as the strict reference. The engine must be
-invisible: every :class:`SimStats` field except the ``ticks_executed``
-/ ``skipped_cycles`` diagnostics — and the final global-memory image —
-must come out exactly equal, composed with every other engine flag,
-serial or parallel. These tests pin that grid, the fallback edges
-(divergence, loop back-edges, spill pressure forcing the engine to
-decline), the basic-block partition invariants the closures assume,
-closure invalidation on decode-cache rebuild, and the flag plumbing
-including the result-cache fingerprint split.
+The trace-level JIT engine was deleted: the cross-warp batch engine is
+the flags-mode fast path and the per-warp vector path
+(``REPRO_WARP_BATCH=0``) its strict reference. Shells and CI configs
+may still export the old ``REPRO_TRACE_JIT`` variable, so it must
+change nothing. These tests rerun the grids and edge kernels the JIT
+was pinned on, with the stale variable set both ways on top of the
+batch engine, and require every comparable :class:`SimStats` field, the
+final global-memory image and the result-cache engine fingerprint to
+match the per-warp reference.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from repro.arch import GPUConfig
-from repro.cache import ResultCache, cached_simulate
 from repro.cache.fingerprint import engine_fingerprint
-from repro.compiler import compile_kernel
-from repro.isa import CmpOp, KernelBuilder, Special, assemble
-from repro.launch import LaunchConfig
-from repro.sim.core import SMCore
-from repro.sim.decode import build_decode_cache
-from repro.sim.gpu import GPU, simulate
-from repro.sim.jit import ensure_jit
-from repro.workloads.suite import get_workload
-
-#: Engine diagnostics: the only fields allowed to differ across
-#: engines (see test_cycle_skip.py / test_warp_batch.py).
-DIAGNOSTICS = frozenset({"ticks_executed", "skipped_cycles"})
-
-#: (trace-jit, warp-batch, cycle-skip) grid; the JIT binds only on top
-#: of the batch engine, so the jit=1/batch=0 cells double as
-#: silent-decline coverage (the flag must be a no-op there).
-FULL_GRID = tuple(
-    (jit, batch, skip)
-    for jit in ("1", "0")
-    for batch in ("1", "0")
-    for skip in ("1", "0")
+from repro.isa import assemble
+from tests.test_warp_batch import (
+    _LOOP_SRC,
+    _comparable,
+    _diverged_same_pc_kernel,
+    _run_kernel,
+    _simulate,
 )
 
-
-def _comparable(result) -> dict:
-    return {
-        name: value
-        for name, value in dataclasses.asdict(result.stats).items()
-        if name not in DIAGNOSTICS
-    }
+RETIRED = "REPRO_TRACE_JIT"
 
 
-def _simulate(name, mode, scale=0.5, fraction=0.2, waves=1, **kwargs):
-    workload = get_workload(name, scale=scale)
-    opts = dict(
-        max_ctas_per_sm_sim=waves * workload.table1.conc_ctas_per_sm
-    )
-    opts.update(kwargs)
-    if mode in ("flags", "shrink"):
-        config = (
-            GPUConfig.shrunk(fraction)
-            if mode == "shrink"
-            else GPUConfig.renamed()
-        )
-        compiled = compile_kernel(workload.kernel, workload.launch, config)
-        return simulate(
-            compiled.kernel, workload.launch, config, mode="flags",
-            threshold=compiled.renaming_threshold, **opts,
-        )
-    return simulate(
-        workload.kernel.clone(), workload.launch, GPUConfig.baseline(),
-        mode=mode, **opts,
-    )
+def _stale_and_reference(monkeypatch, run):
+    """``run()`` on the batch engine under the stale variable set to
+    "1" and "0", then on the per-warp reference with it unset."""
+    out = {}
+    monkeypatch.setenv("REPRO_WARP_BATCH", "1")
+    for stale in ("1", "0"):
+        monkeypatch.setenv(RETIRED, stale)
+        out[stale] = run()
+    monkeypatch.delenv(RETIRED)
+    monkeypatch.setenv("REPRO_WARP_BATCH", "0")
+    out["reference"] = run()
+    return out
+
+
+def _assert_all_match(out, what):
+    for cell, value in out.items():
+        assert value == out["reference"], f"{what}: {cell} diverged"
 
 
 class TestEquivalenceGrid:
-    """jit x batch x cycle-skip (and x vector, x decode-cache) grids."""
+    """stale flag x cycle-skip (and x decode-cache, parallel, spill)."""
 
     def test_flags_serial_grid_is_bit_identical(self, monkeypatch):
-        runs = {}
-        for jit, batch, skip in FULL_GRID:
-            monkeypatch.setenv("REPRO_TRACE_JIT", jit)
-            monkeypatch.setenv("REPRO_WARP_BATCH", batch)
+        for skip in ("1", "0"):
             monkeypatch.setenv("REPRO_CYCLE_SKIP", skip)
-            runs[(jit, batch, skip)] = _comparable(
-                _simulate("matrixmul", "flags")
+            out = _stale_and_reference(
+                monkeypatch,
+                lambda: _comparable(_simulate("matrixmul", "flags")),
             )
-        reference = runs[("0", "1", "1")]
-        for cell, stats in runs.items():
-            assert stats == reference, f"grid cell {cell} diverged"
-
-    def test_vector_plane_is_bit_identical(self, monkeypatch):
-        runs = {}
-        for jit in ("1", "0"):
-            for vec in ("1", "0"):
-                monkeypatch.setenv("REPRO_TRACE_JIT", jit)
-                monkeypatch.setenv("REPRO_VECTOR_LANES", vec)
-                runs[(jit, vec)] = _comparable(
-                    _simulate("blackscholes", "flags")
-                )
-        reference = runs[("0", "1")]
-        for cell, stats in runs.items():
-            assert stats == reference, f"grid cell {cell} diverged"
+            _assert_all_match(out, f"skip={skip}")
+        # The stale variable must not split result-cache keys either.
+        keys = set()
+        for stale in ("1", "0"):
+            monkeypatch.setenv(RETIRED, stale)
+            keys.add(engine_fingerprint())
+        monkeypatch.delenv(RETIRED)
+        keys.add(engine_fingerprint())
+        assert len(keys) == 1
 
     def test_decode_cache_plane_is_bit_identical(self, monkeypatch):
-        runs = {}
-        for jit in ("1", "0"):
-            for cache in ("1", "0"):
-                monkeypatch.setenv("REPRO_TRACE_JIT", jit)
-                monkeypatch.setenv("REPRO_DECODE_CACHE", cache)
-                runs[(jit, cache)] = _comparable(
-                    _simulate("reduction", "flags")
-                )
-        reference = runs[("0", "1")]
-        for cell, stats in runs.items():
-            assert stats == reference, f"grid cell {cell} diverged"
-
-    @pytest.mark.parametrize("mode", ("baseline", "redefine"))
-    def test_other_modes_are_bit_identical(self, mode, monkeypatch):
-        runs = {}
-        for jit in ("1", "0"):
-            monkeypatch.setenv("REPRO_TRACE_JIT", jit)
-            runs[jit] = _comparable(_simulate("matrixmul", mode))
-        assert runs["1"] == runs["0"], f"{mode} diverged"
+        for cache in ("1", "0"):
+            monkeypatch.setenv("REPRO_DECODE_CACHE", cache)
+            out = _stale_and_reference(
+                monkeypatch,
+                lambda: _comparable(_simulate("reduction", "flags")),
+            )
+            _assert_all_match(out, f"decode-cache={cache}")
 
     def test_parallel_matches_serial_reference(self, monkeypatch):
-        """Process-pool workers re-resolve the env flag when rebuilding
-        cores from CoreJob specs; every cell must agree with the serial
-        jit=0 reference."""
-        reference = None
-        for jit in ("1", "0"):
-            monkeypatch.setenv("REPRO_TRACE_JIT", jit)
-            stats = _comparable(
+        """Process-pool workers re-read the environment when they
+        rebuild cores; every parallel run must match the serial
+        per-warp reference."""
+        monkeypatch.setenv("REPRO_WARP_BATCH", "0")
+        serial = _comparable(
+            _simulate("matrixmul", "flags", sim_sms=2,
+                      max_ctas_per_sm_sim=2)
+        )
+        out = _stale_and_reference(
+            monkeypatch,
+            lambda: _comparable(
                 _simulate("matrixmul", "flags", sim_sms=2,
                           max_ctas_per_sm_sim=2, jobs=2)
-            )
-            if reference is None:
-                reference = _comparable(
-                    _simulate("matrixmul", "flags", sim_sms=2,
-                              max_ctas_per_sm_sim=2)
-                )
-            assert stats == reference, f"jit={jit} parallel diverged"
+            ),
+        )
+        for cell, stats in out.items():
+            assert stats == serial, f"{cell} parallel diverged"
 
     def test_spill_pressure_declines_and_stays_identical(self, monkeypatch):
-        """Under GPU-shrink pressure the batch engine (and with it the
-        JIT, which only rides on top of it) must decline to bind, and
-        the flag must be a strict no-op — including spill counts."""
-        runs = {}
-        for jit in ("1", "0"):
-            monkeypatch.setenv("REPRO_TRACE_JIT", jit)
+        """Under GPU-shrink pressure the batch engine declines to bind;
+        the stale variable must still be a strict no-op, spill counts
+        included."""
+
+        def run():
             result = _simulate("matrixmul", "shrink", scale=1.0,
                                fraction=0.18, waves=2)
-            runs[jit] = (_comparable(result), result.stats.spill_events)
-        assert runs["1"][1] > 0, "sample must actually exercise spills"
-        assert runs["1"][0] == runs["0"][0]
+            return _comparable(result), result.stats.spill_events
+
+        out = _stale_and_reference(monkeypatch, run)
+        assert out["1"][1] > 0, "sample must actually exercise spills"
+        _assert_all_match(out, "spill")
 
 
 def _diverged_kernel():
-    """Half of every warp takes the guarded arm: the issue closures
-    must fuse the partial guard masks exactly as the interpreter."""
-    b = KernelBuilder("diverged-jit")
-    b.s2r(0, Special.TID)
-    b.setp(0, 0, CmpOp.LT, imm=48)
-    b.movi(1, 3)
-    b.movi(1, 11, pred=0)
-    b.iadd(2, 1, 0)
-    b.imul(3, 2, 2)
-    b.shl(4, 0, 3)
-    b.stg(addr=4, value=3)
-    b.exit()
-    return b.build()
-
-
-#: Loop whose back edge re-enters jitted pcs: the closure's back-edge
-#: flush must drain the deferred pool before a pc re-executes.
-_LOOP_SRC = """
-.kernel jit-loop
-    S2R r0, SR_TID
-    MOVI r1, 0x0
-    MOVI r2, 0x4
-top:
-    IADD r1, r1, r0
-    IADDI r2, r2, -1
-    SETP p0, r2, 0, GT
-    @p0 BRA top
-    SHL r3, r0, 3
-    STG [r3], r1
-    EXIT
-"""
-
-
-def _run_kernel(kernel, threads_per_cta=64, grid_ctas=2):
-    launch = LaunchConfig(grid_ctas, threads_per_cta,
-                          conc_ctas_per_sm=grid_ctas)
-    config = GPUConfig.renamed()
-    compiled = compile_kernel(kernel, launch, config)
-    gpu = GPU(config, compiled.kernel, launch, mode="flags",
-              threshold=compiled.renaming_threshold, sim_sms=1)
-    result = gpu.run()
-    return result, gpu.gmem.image()
+    """Half of every warp takes the guarded arm (partial masks)."""
+    return _diverged_same_pc_kernel()
 
 
 class TestFallbackEdges:
-    """Edge kernels: stats + memory image pinned to jit=0."""
+    """Edge kernels: stats + memory image pinned to the reference."""
 
     @pytest.mark.parametrize("name,factory,threads,ctas", (
         ("diverged", _diverged_kernel, 64, 2),
@@ -218,295 +124,21 @@ class TestFallbackEdges:
     ))
     def test_jit_matches_reference(self, name, factory, threads, ctas,
                                    monkeypatch):
-        runs, images = {}, {}
-        for jit in ("1", "0"):
-            monkeypatch.setenv("REPRO_TRACE_JIT", jit)
+        def run():
             result, image = _run_kernel(factory(), threads, ctas)
-            runs[jit] = _comparable(result)
-            images[jit] = image
-        assert runs["1"] == runs["0"], f"{name} stats diverged"
-        assert images["1"] == images["0"], f"{name} memory diverged"
+            return _comparable(result), image
+
+        _assert_all_match(_stale_and_reference(monkeypatch, run), name)
 
     def test_loop_back_edge_matches_reference(self, monkeypatch):
-        runs, images = {}, {}
-        for jit in ("1", "0"):
-            monkeypatch.setenv("REPRO_TRACE_JIT", jit)
+        def run():
             result, image = _run_kernel(assemble(_LOOP_SRC).clone())
-            runs[jit] = _comparable(result)
-            images[jit] = image
-        assert runs["1"] == runs["0"], "loop stats diverged"
-        assert images["1"] == images["0"], "loop memory diverged"
+            return _comparable(result), image
+
+        _assert_all_match(_stale_and_reference(monkeypatch, run), "loop")
 
     def test_loop_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_JIT", "1")
+        monkeypatch.setenv(RETIRED, "1")
         _, image = _run_kernel(assemble(_LOOP_SRC).clone())
         for tid in range(1, 64):
             assert image[tid * 8] == 4 * tid, tid
-
-
-# --- basic-block partition property ------------------------------------------
-
-#: Small structured-kernel strategy: straight ALU chains, one level of
-#: data-dependent divergence, bounded loops — enough to produce runs,
-#: branch targets landing inside would-be runs, and non-deferrable
-#: holes (loads/stores/barriers).
-_app_reg = st.integers(0, 4)
-_simple = st.one_of(
-    st.tuples(st.just("alu"), _app_reg, _app_reg, _app_reg),
-    st.tuples(st.just("movi"), _app_reg, st.integers(0, 255)),
-    st.tuples(st.just("load"), _app_reg, _app_reg),
-    st.tuples(st.just("store"), _app_reg, _app_reg),
-    st.tuples(st.just("bar"),),
-)
-_branch = st.tuples(
-    st.just("if"), st.integers(1, 62),
-    st.lists(_simple, min_size=1, max_size=4),
-    st.lists(_simple, min_size=1, max_size=4),
-)
-_loop = st.tuples(
-    st.just("loop"), st.integers(1, 3),
-    st.lists(_simple, min_size=1, max_size=4),
-)
-_spec = st.lists(
-    st.one_of(_simple, _branch, _loop), min_size=1, max_size=5
-)
-
-_LAUNCH = LaunchConfig(grid_ctas=2, threads_per_cta=64,
-                       conc_ctas_per_sm=2)
-
-
-def _build(spec):
-    b = KernelBuilder("partition-prop", num_preds=8)
-    b.s2r(0, Special.TID)
-    for op in spec:
-        _emit(b, op, pred=1, counter=5)
-    b.stg(addr=0, value=1, offset=0x20000)
-    b.exit()
-    return b.build()
-
-
-def _emit(b, op, pred, counter):
-    kind = op[0]
-    if kind == "alu":
-        b.iadd(op[1], op[2], op[3])
-    elif kind == "movi":
-        b.movi(op[1], op[2])
-    elif kind == "load":
-        b.ldg(op[1], addr=op[2], offset=0x1000)
-    elif kind == "store":
-        b.stg(addr=op[1], value=op[2], offset=0x8000)
-    elif kind == "bar":
-        b.bar()
-    elif kind == "if":
-        _, threshold, then_ops, else_ops = op
-        b.setp(pred, 0, CmpOp.LT, imm=threshold)
-        then_label = b.fresh_label()
-        merge = b.fresh_label()
-        b.bra(then_label, pred=pred)
-        for inner in else_ops:
-            _emit(b, inner, pred + 1, counter + 1)
-        b.bra(merge)
-        b.place(then_label)
-        for inner in then_ops:
-            _emit(b, inner, pred + 1, counter + 1)
-        b.place(merge)
-        b.nop()
-    elif kind == "loop":
-        _, trips, body = op
-        b.movi(counter, trips)
-        top = b.label()
-        for inner in body:
-            _emit(b, inner, pred + 1, counter + 1)
-        b.iaddi(counter, counter, -1)
-        b.setp(pred, counter, CmpOp.GT, imm=0)
-        b.bra(top, pred=pred)
-    else:  # pragma: no cover
-        raise AssertionError(kind)
-
-
-def _partition_invariants(cache):
-    entries = cache.entries
-    leaders = {
-        e.target_pc for e in entries
-        if e.is_branch and e.target_pc is not None
-    }
-    seen: dict[int, tuple[int, int]] = {}
-    for run_id, run in enumerate(cache.runs):
-        assert len(run.steps) >= 2, "degenerate single-step run"
-        for pos, step in enumerate(run.steps):
-            pc = run.start_pc + pos
-            # Consecutive pcs, each claimed by exactly one run, and the
-            # entry's own run tag must agree with its position.
-            assert entries[pc] is step
-            assert pc not in seen, f"pc {pc} in two runs"
-            seen[pc] = (run_id, pos)
-            assert step.run_id == run_id and step.run_pos == pos
-            # Runs hold only deferrable straight-line work: no
-            # branches, barriers or memory ops can hide inside.
-            assert step.deferrable and step.batch_plan is not None
-            assert not step.is_branch
-            assert not step.inst.info.is_barrier
-            # A branch target may only ever be a run *entry* — a jump
-            # landing mid-run would skip the closure's earlier steps.
-            if pos > 0:
-                assert pc not in leaders, f"leader {pc} mid-run"
-    # Every pc is covered exactly once: by one run position, or by the
-    # interpreter (run_id None) — never both, never neither.
-    for pc, entry in enumerate(entries):
-        if pc in seen:
-            assert entry.run_id is not None
-        else:
-            assert entry.run_id is None
-
-
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(_spec)
-def test_partition_covers_every_pc_exactly_once(spec):
-    kernel = _build(spec)
-    config = GPUConfig.renamed()
-    compiled = compile_kernel(kernel, _LAUNCH, config)
-    cache = build_decode_cache(
-        compiled.kernel, config, compiled.renaming_threshold, "flags"
-    )
-    _partition_invariants(cache)
-
-
-@pytest.mark.parametrize("name", ("matrixmul", "blackscholes",
-                                  "reduction"))
-def test_partition_invariants_on_real_workloads(name):
-    workload = get_workload(name, scale=0.5)
-    config = GPUConfig.renamed()
-    compiled = compile_kernel(workload.kernel, workload.launch, config)
-    cache = build_decode_cache(
-        compiled.kernel, config, compiled.renaming_threshold, "flags"
-    )
-    _partition_invariants(cache)
-
-
-class TestInvalidation:
-    def _compiled(self):
-        workload = get_workload("matrixmul", scale=0.5)
-        config = GPUConfig.renamed()
-        return (
-            compile_kernel(workload.kernel, workload.launch, config),
-            config,
-        )
-
-    def test_rebuilt_cache_never_serves_stale_closures(self):
-        compiled, config = self._compiled()
-        cache = build_decode_cache(
-            compiled.kernel, config, compiled.renaming_threshold, "flags"
-        )
-        assert cache.jit is None  # closures attach lazily, per cache
-        program = ensure_jit(cache, compiled.kernel, config)
-        assert cache.jit is program and program.has_runs
-        rebuilt = build_decode_cache(
-            compiled.kernel, config, compiled.renaming_threshold, "flags"
-        )
-        # A rebuild starts closure-free; the first core to want the JIT
-        # must go through ensure_jit against the *new* entries.
-        assert rebuilt.jit is None
-
-    def test_program_is_memoized_per_kernel_and_config(self):
-        compiled, config = self._compiled()
-        cache = build_decode_cache(
-            compiled.kernel, config, compiled.renaming_threshold, "flags"
-        )
-        first = ensure_jit(cache, compiled.kernel, config)
-        assert ensure_jit(cache, compiled.kernel, config) is first
-        # A different engine config (here: threshold) compiles its own
-        # closures — issue plans bake the threshold in.
-        other = build_decode_cache(
-            compiled.kernel, config,
-            compiled.renaming_threshold + 1, "flags",
-        )
-        assert ensure_jit(other, compiled.kernel, config) is not first
-
-
-class TestPlumbing:
-    def _core(self, config=None, **kwargs):
-        workload = get_workload("matrixmul", scale=0.5)
-        config = config or GPUConfig.renamed()
-        compiled = compile_kernel(workload.kernel, workload.launch, config)
-        return SMCore(config, compiled.kernel, workload.launch,
-                      mode="flags", threshold=compiled.renaming_threshold,
-                      **kwargs)
-
-    def _pin_stack(self, monkeypatch):
-        # The JIT binds only on top of the batch engine; pin the whole
-        # stack on so these tests exercise the JIT paths even on the
-        # CI legs that run the suite with a lower engine disabled.
-        monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
-        monkeypatch.setenv("REPRO_WARP_BATCH", "1")
-
-    def test_env_flag_selects_engine(self, monkeypatch):
-        self._pin_stack(monkeypatch)
-        monkeypatch.setenv("REPRO_TRACE_JIT", "1")
-        core = self._core()
-        assert core.trace_jit is True
-        assert core._jit is not None
-        assert core._jit.has_runs
-        assert core.tick.__func__ is SMCore._tick_jit
-        # The generic batch issue stays bound as the closures' bail-out
-        # target.
-        assert core._try_issue.__func__ is SMCore._try_issue_batch
-        monkeypatch.setenv("REPRO_TRACE_JIT", "0")
-        core = self._core()
-        assert core.trace_jit is False
-        assert core._jit is None
-        assert core.tick.__func__ is SMCore._tick_batch
-
-    def test_default_is_jit(self, monkeypatch):
-        self._pin_stack(monkeypatch)
-        monkeypatch.delenv("REPRO_TRACE_JIT", raising=False)
-        core = self._core()
-        assert core.trace_jit is True
-        assert core._jit is not None
-
-    def test_declines_without_batch_engine(self, monkeypatch):
-        self._pin_stack(monkeypatch)
-        monkeypatch.setenv("REPRO_WARP_BATCH", "0")
-        monkeypatch.setenv("REPRO_TRACE_JIT", "1")
-        core = self._core()
-        assert core._jit is None
-        assert core.tick.__func__ is not SMCore._tick_jit
-
-    def test_declines_when_underprovisioned(self, monkeypatch):
-        self._pin_stack(monkeypatch)
-        monkeypatch.setenv("REPRO_TRACE_JIT", "1")
-        core = self._core(config=GPUConfig.shrunk(0.2))
-        assert core._jit is None
-        assert core.tick.__func__ is not SMCore._tick_jit
-
-    def test_engine_fingerprint_splits_cache_key(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_JIT", "1")
-        jitted = engine_fingerprint()
-        monkeypatch.setenv("REPRO_TRACE_JIT", "0")
-        plain = engine_fingerprint()
-        assert jitted != plain
-
-    def test_result_cache_never_aliases_jit_and_nojit(self, monkeypatch):
-        """A jit-on result must never answer a jit-off request (or vice
-        versa): both runs miss and store under their own keys."""
-        workload = get_workload("vectoradd", scale=0.5)
-        cache = ResultCache()  # in-memory tier only
-        stats = {}
-        for jit in ("1", "0"):
-            monkeypatch.setenv("REPRO_TRACE_JIT", jit)
-            result = cached_simulate(
-                workload.kernel, workload.launch, GPUConfig.baseline(),
-                mode="baseline", max_ctas_per_sm_sim=2, cache=cache,
-            )
-            stats[jit] = _comparable(result)
-        assert cache.counters.misses == 2
-        assert cache.counters.stores == 2
-        assert cache.counters.hits == 0
-        # Same flags again: now it hits, proving the split is by key.
-        cached_simulate(
-            workload.kernel, workload.launch, GPUConfig.baseline(),
-            mode="baseline", max_ctas_per_sm_sim=2, cache=cache,
-        )
-        assert cache.counters.hits == 1
-        assert stats["1"] == stats["0"]

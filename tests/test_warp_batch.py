@@ -72,7 +72,7 @@ def _simulate(name, mode, scale=0.5, fraction=0.2, waves=1, **kwargs):
         )
     return simulate(
         workload.kernel.clone(), workload.launch, GPUConfig.baseline(),
-        mode="baseline", **opts,
+        mode=mode, **opts,
     )
 
 
@@ -91,6 +91,30 @@ class TestEquivalenceGrid:
         reference = runs[("0", "1", "1")]
         for cell, stats in runs.items():
             assert stats == reference, f"grid cell {cell} diverged"
+
+    def test_vector_plane_is_bit_identical(self, monkeypatch):
+        """The divergent workload on the (batch, vector) plane."""
+        runs = {}
+        for batch in ("1", "0"):
+            for vec in ("1", "0"):
+                monkeypatch.setenv("REPRO_WARP_BATCH", batch)
+                monkeypatch.setenv("REPRO_VECTOR_LANES", vec)
+                runs[(batch, vec)] = _comparable(
+                    _simulate("blackscholes", "flags")
+                )
+        reference = runs[("0", "1")]
+        for cell, stats in runs.items():
+            assert stats == reference, f"grid cell {cell} diverged"
+
+    @pytest.mark.parametrize("mode", ("baseline", "redefine"))
+    def test_other_modes_are_bit_identical(self, mode, monkeypatch):
+        """The engine binds in flags mode only; elsewhere the flag
+        must be a strict no-op."""
+        runs = {}
+        for batch in ("1", "0"):
+            monkeypatch.setenv("REPRO_WARP_BATCH", batch)
+            runs[batch] = _comparable(_simulate("matrixmul", mode))
+        assert runs["1"] == runs["0"], f"{mode} diverged"
 
     def test_decode_cache_plane_is_bit_identical(self, monkeypatch):
         runs = {}
@@ -239,13 +263,10 @@ class TestPlumbing:
     def test_env_flag_selects_engine(self, monkeypatch):
         # Pin the vector engine on: batching requires it, and this
         # test must bind the batch paths even on the CI leg that runs
-        # the whole suite under REPRO_VECTOR_LANES=0. The trace JIT
-        # (which binds its own tick on top of the batch engine) is
-        # pinned off — it has its own plumbing tests.
+        # the whole suite under REPRO_VECTOR_LANES=0.
         monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
         monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
         monkeypatch.setenv("REPRO_WARP_BATCH", "1")
-        monkeypatch.setenv("REPRO_TRACE_JIT", "0")
         core = self._core()
         assert core.warp_batch is True
         assert core._batch_bufs is not None
