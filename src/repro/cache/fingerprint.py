@@ -23,6 +23,7 @@ memory address).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from dataclasses import fields, is_dataclass
@@ -39,6 +40,12 @@ _FALSY = ("0", "off", "false", "no")
 
 def _flag(name: str, default: str = "1") -> bool:
     return os.environ.get(name, default).strip().lower() not in _FALSY
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> tuple[str, ...]:
+    """A dataclass's field names in declaration order (per class)."""
+    return tuple(f.name for f in fields(cls))
 
 
 def canonicalize(value: object) -> object:
@@ -84,8 +91,8 @@ def canonicalize(value: object) -> object:
             "dataclass",
             type(value).__name__,
             tuple(
-                (f.name, canonicalize(getattr(value, f.name)))
-                for f in fields(value)
+                (name, canonicalize(getattr(value, name)))
+                for name in _field_names(type(value))
             ),
         )
     raise TypeError(

@@ -50,8 +50,20 @@ class Kernel:
         return self
 
     def clone(self) -> "Kernel":
-        """Deep copy, so compiler passes can rewrite without aliasing."""
-        return copy.deepcopy(self)
+        """Independent copy, so compiler passes can rewrite without aliasing.
+
+        Every :class:`Instruction` field holds an immutable value (ints,
+        tuples, enums, strings, the frozen :class:`PredGuard`), so a
+        shallow copy of each instruction is as independent as a deep one.
+        """
+        return Kernel(
+            name=self.name,
+            instructions=[copy.copy(inst) for inst in self.instructions],
+            labels=dict(self.labels),
+            num_regs=self.num_regs,
+            num_preds=self.num_preds,
+            shared_bytes=self.shared_bytes,
+        )
 
     # --- queries -----------------------------------------------------------------
     def __len__(self) -> int:

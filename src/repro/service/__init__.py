@@ -34,6 +34,7 @@ from repro.service.client import (
 )
 from repro.service.protocol import (
     ProtocolError,
+    request_key,
     request_to_spec,
     response_payload,
     service_key,
@@ -47,6 +48,7 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "parse_address",
+    "request_key",
     "request_to_spec",
     "response_payload",
     "service_key",

@@ -73,7 +73,12 @@ class ServiceClient:
         if kind == "unix":
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.settimeout(timeout)
-            sock.connect(where[0])
+            try:
+                sock.connect(where[0])
+            except OSError:
+                # No daemon listening (yet): do not leak the descriptor.
+                sock.close()
+                raise
         else:
             sock = socket.create_connection(tuple(where), timeout=timeout)
         return cls(sock)

@@ -9,12 +9,19 @@ future and the simulation runs exactly once (single-flight).
 
 Request lifecycle (``op: simulate``)::
 
-    key = service_key(spec)              # content + engine fingerprint
+    0. key = request_key(request)        # memoized: content + engine
     1. cache.get(key)     -> hit: answer immediately   (cache_hits)
     2. key in in-flight?  -> join the existing future  (coalesced)
     3. else: pin key, execute on the process pool,     (executed)
        absorb the worker's cache exports, cache.put,
        resolve the future for every joined waiter, unpin
+
+Step 0 is memoized on the request's content JSON plus the engine
+fingerprint: ``request_key(r) == service_key(request_to_spec(r))`` for
+every valid ``r``, but only the first request of a given content
+rebuilds its workload and hashes its kernel. A repeat (the hit path)
+costs a JSON dump, a dict lookup and ``cache.get``; the spec itself is
+decoded only in the pool worker, on a miss.
 
 The pin (step 3) is what guarantees the LRU evictor never removes an
 in-flight entry: from first lookup to response delivery the key is
@@ -199,8 +206,7 @@ class SimulationDaemon:
 
     async def _simulate(self, request: dict) -> dict:
         self.metrics.simulate_requests += 1
-        spec = protocol.request_to_spec(request)
-        key = protocol.service_key(spec)
+        key = protocol.request_key(request)
         cached = self.cache.get(key)
         if cached is not MISS:
             self.metrics.cache_hits += 1

@@ -31,7 +31,9 @@ field by field — the service's correctness contract.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import fields, is_dataclass
 
 from repro.arch import GPUConfig
@@ -41,6 +43,9 @@ from repro.sim.stats import SimStats
 #: Bump on incompatible wire/schema changes; part of every request and
 #: of the daemon's response-cache key.
 PROTOCOL_VERSION = 1
+
+#: Distinct request contents whose keys :func:`request_key` remembers.
+_REQUEST_KEY_MEMO = 4096
 
 
 class ProtocolError(ValueError):
@@ -149,6 +154,10 @@ def request_to_spec(request: dict) -> tuple:
         raise ProtocolError(f"workload must be a name, got {name!r}")
     if not isinstance(scale, (int, float)) or isinstance(scale, bool):
         raise ProtocolError(f"scale must be a number, got {scale!r}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ProtocolError(
+            f"scale must be a finite positive number, got {scale!r}"
+        )
     try:
         workload = get_workload(name, scale=float(scale))
     except ConfigError as exc:
@@ -179,6 +188,36 @@ def service_key(spec: tuple) -> str:
         workload,
         kwargs,
     )
+
+
+@functools.lru_cache(maxsize=_REQUEST_KEY_MEMO)
+def _memo_request_key(content: str, engine: tuple) -> str:
+    # ``engine`` is unused here: it is part of the memo key only, so a
+    # flag change computes (and memoizes) a fresh key.
+    flow, workload, scale, kwargs = json.loads(content)
+    return service_key(request_to_spec(
+        {"flow": flow, "workload": workload, "scale": scale,
+         "kwargs": kwargs}
+    ))
+
+
+def request_key(request: dict) -> str:
+    """:func:`service_key` of a ``simulate`` request, memoized by content.
+
+    Equal to ``service_key(request_to_spec(request))`` for every valid
+    wire request, but a repeat of the same content skips rebuilding the
+    workload and re-hashing its kernel. The memo key is the compact,
+    key-sorted JSON of the request's ``flow``, ``workload``, ``scale``
+    and ``kwargs`` plus :func:`engine_fingerprint`, so a flag change
+    never serves a stale key. A request that raises
+    :class:`ProtocolError` is not memoized: it fails again every time.
+    """
+    content = json.dumps(
+        [request.get("flow"), request.get("workload"),
+         request.get("scale", 1.0), request.get("kwargs")],
+        sort_keys=True, separators=(",", ":"),
+    )
+    return _memo_request_key(content, engine_fingerprint(None))
 
 
 # ------------------------------------------------------------ responses

@@ -1,9 +1,15 @@
 """Kernel container tests: finalize, validate, queries."""
 
+import dataclasses
+
 import pytest
 
+from repro.arch import GPUConfig
+from repro.cache.fingerprint import canonicalize
+from repro.compiler import compile_kernel
 from repro.errors import IsaError
 from repro.isa import Instruction, Kernel, Opcode, assemble
+from repro.workloads.suite import all_workload_names, get_workload
 
 
 def test_finalize_assigns_pcs(straight_kernel):
@@ -80,6 +86,31 @@ def test_clone_is_deep(loop_kernel):
     assert loop_kernel.instructions[0].dst != 7
     clone.labels["extra"] = 0
     assert "extra" not in loop_kernel.labels
+
+
+@pytest.mark.parametrize("name", all_workload_names())
+def test_clone_is_independent_for_every_workload(name):
+    workload = get_workload(name, scale=0.5)
+    compiled = compile_kernel(
+        workload.kernel, workload.launch, GPUConfig.shrunk(0.5)
+    ).kernel
+    for kernel in (workload.kernel, compiled):
+        # clone() copies each instruction shallowly; that is sound
+        # only while every field holds an immutable value.
+        for inst in kernel.instructions:
+            hash(tuple(
+                getattr(inst, f.name) for f in dataclasses.fields(inst)
+            ))
+        before = canonicalize(kernel)
+        labels = dict(kernel.labels)
+        clone = kernel.clone()
+        assert canonicalize(clone) == before
+        assert clone.labels == labels and clone.name == kernel.name
+        for inst in clone.instructions:
+            inst.release_srcs = (True,) * (len(inst.srcs) + 1)
+        clone.labels["__extra"] = 0
+        assert canonicalize(kernel) == before
+        assert kernel.labels == labels
 
 
 def test_undefined_label_raises():

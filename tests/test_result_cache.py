@@ -38,6 +38,7 @@ from repro.cache import (
 )
 from repro.cache.store import TMP_SWEEP_AGE_SECONDS, parse_size
 from repro.isa import assemble
+from repro.service.protocol import service_key
 from repro.sim.gpu import simulate
 from repro.sim.stats import SimStats
 from repro.workloads.suite import get_workload
@@ -153,6 +154,79 @@ class TestFingerprint:
 
         with pytest.raises(TypeError):
             fingerprint(Opaque())
+
+
+#: Engine switches that join every simulate/service key.
+ENGINE_FLAGS = (
+    "REPRO_DECODE_CACHE", "REPRO_CYCLE_SKIP", "REPRO_VECTOR_LANES",
+    "REPRO_WARP_BATCH",
+)
+
+
+class TestGoldenKeyDigests:
+    """Key digests pinned byte for byte.
+
+    A key change silently orphans every existing disk cache, so any
+    refactor of the fingerprint path must leave these digests alone;
+    an intended key change (a schema bump) re-records them.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _default_engine(self, monkeypatch):
+        for name in ENGINE_FLAGS:
+            monkeypatch.delenv(name, raising=False)
+
+    @staticmethod
+    def _keys(name, scale, config, mode):
+        workload = get_workload(name, scale=scale)
+        return (
+            _sim_key(
+                workload.kernel, workload.launch, config, mode=mode
+            ),
+            compile_key(
+                workload.kernel, workload.launch, config,
+                insert_flags=True, edge_releases=True,
+            ),
+            fingerprint_mod.flow_spec_key(
+                "virtualized", workload, {"config": config, "waves": 2}
+            ),
+            service_key(("virtualized", workload, {"config": config})),
+        )
+
+    def test_matrixmul_on_baseline(self):
+        assert self._keys(
+            "matrixmul", 0.5, GPUConfig.baseline(), "baseline"
+        ) == (
+            "cba3e35d16e6658fc387c419129f61369c7d53ca36eddb5c19532ce54b154d17",
+            "8b1a14867a74513ad7caba685c00d84a261ff390d3c5c627da1c2322b911f040",
+            "abf2c5c2c217ebdf53105f7b39f4d78a4577bd98b9ecb1e822358594c7b53326",
+            "108477ef0fd758f09ee92c3767f0268a9d5ae8f83392d0a0518325634df019bf",
+        )
+
+    def test_lud_on_shrunk(self):
+        assert self._keys(
+            "lud", 1.0, GPUConfig.shrunk(0.5), "flags"
+        ) == (
+            "d857deec6bc6ea7e8473c335db46602f7f8745df65423eca2ed3d182c99b8450",
+            "91104cdd8648acd8e737c28a455457ac9494b168bbbbd0f253fd366854a73c49",
+            "0266d3135f41f536349b185f6ad5fcad97234d719a677b565b3b6ece3febdca0",
+            "11f93fe9ccf34154b0d7692e03287cd23398bf70535d365d2304828683878a9f",
+        )
+
+    def test_compiled_kernel(self):
+        # Release flags and metadata payloads are part of the content.
+        from repro.compiler import compile_kernel
+
+        workload = get_workload("lud", scale=1.0)
+        config = GPUConfig.shrunk(0.5)
+        compiled = compile_kernel(
+            workload.kernel, workload.launch, config
+        ).kernel
+        assert _sim_key(
+            compiled, workload.launch, config, mode="flags"
+        ) == (
+            "41c37786c8cbf32cabf9f898bfc0fe765306442627c25d91173515b22a9b869a"
+        )
 
 
 class TestStore:

@@ -14,19 +14,27 @@ The serving contract under test:
   never poison the key or leak a pin;
 * the daemon survives injected faults: a worker killed mid-request
   fails only that request, and an over-limit request line gets an
-  error response on a connection that keeps serving.
+  error response on a connection that keeps serving;
+* the memoized request key equals the key of the rebuilt spec, so a
+  daemon restarted on a warm disk cache answers from it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
 import os
+import pathlib
 import signal
+import socket
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import repro
 from repro.analysis.runners import run_flow, spec_fingerprint
 from repro.arch import GPUConfig
 from repro.cache import ResultCache, swap_cache
@@ -41,7 +49,7 @@ from repro.service.client import (
 )
 from repro.service.daemon import LINE_LIMIT, SimulationDaemon, serve
 from repro.sim.stats import SimStats
-from repro.workloads.suite import get_workload
+from repro.workloads.suite import all_workload_names, get_workload
 
 
 def _spec(flow="baseline", name="vectoradd", scale=0.25, **kwargs):
@@ -150,6 +158,91 @@ class TestProtocol:
         assert payload["cycles"] == payload["stats"]["cycles"] > 0
         # Must already be wire-clean.
         protocol.encode_line(payload)
+
+
+@pytest.fixture
+def empty_key_memo():
+    """Start (and end) with an empty request-key memo."""
+    protocol._memo_request_key.cache_clear()
+    yield protocol._memo_request_key
+    protocol._memo_request_key.cache_clear()
+
+
+def _variant_specs(workload):
+    """The five flow variants the long-tail service benchmark mixes."""
+    return [
+        ("baseline", workload, {}),
+        ("virtualized", workload, {}),
+        ("hardware_only", workload, {}),
+        ("compiler_spill", workload, {}),
+        ("virtualized", workload, {"config": GPUConfig.shrunk(0.5)}),
+    ]
+
+
+@pytest.mark.usefixtures("empty_key_memo")
+class TestRequestKey:
+    @pytest.mark.parametrize("scale", [0.5, 1.0])
+    def test_equals_key_of_rebuilt_spec(self, scale):
+        for name in all_workload_names():
+            for spec in _variant_specs(get_workload(name, scale=scale)):
+                request = protocol.spec_to_request(spec)
+                expected = protocol.service_key(
+                    protocol.request_to_spec(request)
+                )
+                assert protocol.request_key(request) == expected
+                # The memo hit serves the same bytes.
+                assert protocol.request_key(request) == expected
+
+    def test_equivalent_wire_forms_share_a_key(self):
+        spec = _spec(
+            "virtualized", name="matrixmul", scale=1.0,
+            config=GPUConfig.shrunk(0.5),
+        )
+        request = protocol.spec_to_request(spec)
+        key = protocol.request_key(request)
+        assert protocol.request_key(dict(request, scale=1)) == key
+        reordered = dict(request, kwargs=dict(
+            reversed(list(request["kwargs"].items()))
+        ))
+        assert list(reordered["kwargs"]) != list(request["kwargs"])
+        assert protocol.request_key(reordered) == key
+        assert protocol.service_key(
+            protocol.request_to_spec(dict(request, scale=1))
+        ) == key
+
+    def test_tracks_engine_flags(self, monkeypatch):
+        request = protocol.spec_to_request(_spec())
+        monkeypatch.setenv("REPRO_CYCLE_SKIP", "1")
+        with_skip = protocol.request_key(request)
+        monkeypatch.setenv("REPRO_CYCLE_SKIP", "0")
+        without_skip = protocol.request_key(request)
+        assert without_skip != with_skip
+        assert without_skip == protocol.service_key(
+            protocol.request_to_spec(request)
+        )
+
+    def test_hit_does_not_rebuild_the_spec(self, monkeypatch):
+        request = protocol.spec_to_request(_spec())
+        key = protocol.request_key(request)
+        calls = []
+        rebuild = protocol.request_to_spec
+        monkeypatch.setattr(
+            protocol, "request_to_spec",
+            lambda r: calls.append(r) or rebuild(r),
+        )
+        assert protocol.request_key(dict(request, id=5)) == key
+        assert calls == []
+
+    def test_memo_is_bounded_and_skips_bad_requests(self, empty_key_memo):
+        assert (
+            empty_key_memo.cache_info().maxsize
+            == protocol._REQUEST_KEY_MEMO
+        )
+        request = dict(protocol.spec_to_request(_spec()), flow="nope")
+        for _ in range(2):
+            with pytest.raises(protocol.ProtocolError):
+                protocol.request_key(request)
+        assert empty_key_memo.cache_info().currsize == 0
 
 
 class TestAddresses:
@@ -303,6 +396,30 @@ class TestSingleFlight:
 
         asyncio.run(scenario())
 
+    def test_bad_scales_become_error_responses(self, empty_key_memo):
+        async def scenario():
+            daemon = SimulationDaemon(cache=ResultCache(), jobs=1)
+            errors = 0
+            for name in ("matrixmul", "vectoradd"):
+                for scale in (float("nan"), float("inf"), -1, 0):
+                    # NaN and Infinity arrive as the JSON tokens
+                    # Python's json module emits and accepts.
+                    line = json.dumps({
+                        "op": "simulate", "flow": "baseline",
+                        "workload": name, "scale": scale,
+                    }).encode()
+                    response = await daemon.handle_request(
+                        protocol.decode_line(line)
+                    )
+                    errors += 1
+                    assert response["ok"] is False, (name, scale)
+                    assert "scale" in response["error"], response
+                    assert daemon.metrics.errors == errors
+            assert daemon.metrics.executed == 0
+            assert empty_key_memo.cache_info().currsize == 0
+
+        asyncio.run(scenario())
+
 
 class TestFaults:
     def test_crashed_worker_fails_only_its_request(self):
@@ -342,6 +459,20 @@ class TestFaults:
                     daemon._executor.shutdown(wait=True)
 
         asyncio.run(scenario())
+
+    def test_failed_connect_closes_its_socket(self, tmp_path, monkeypatch):
+        opened = []
+        make_socket = socket.socket
+
+        def tracked(*args, **kwargs):
+            opened.append(make_socket(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(socket, "socket", tracked)
+        with pytest.raises(OSError):
+            ServiceClient.connect(str(tmp_path / "absent.sock"))
+        assert len(opened) == 1
+        assert opened[0].fileno() == -1
 
     def test_oversized_line_gets_an_error_response(self, tmp_path):
         async def scenario():
@@ -444,6 +575,73 @@ class TestEndToEnd:
         finally:
             thread.join(timeout=30)
         assert not thread.is_alive()
+
+
+def _spawn_daemon(address, cache_dir):
+    """``python -m repro.service.daemon`` as a fresh process."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.service.daemon", "--socket",
+         address, "--cache-dir", str(cache_dir), "--jobs", "1"],
+        env=env, stdout=subprocess.DEVNULL,
+    )
+    try:
+        wait_until_ready(address, timeout=60)
+    except Exception:
+        process.kill()
+        process.wait()
+        raise
+    return process
+
+
+def _serve_once(address, cache_dir, requests):
+    """Answer ``requests`` on a fresh daemon process, then stop it."""
+    process = _spawn_daemon(address, cache_dir)
+    try:
+        with ServiceClient.connect(address) as client:
+            responses = [client.submit(request) for request in requests]
+            stats = client.stats()
+            client.shutdown()
+        assert process.wait(timeout=30) == 0
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+    return responses, stats
+
+
+class TestRestart:
+    def test_restart_on_warm_disk_cache(self, tmp_path):
+        address = str(tmp_path / "svc.sock")
+        cache_dir = tmp_path / "cache"
+        requests = [
+            protocol.spec_to_request(_spec()),
+            protocol.spec_to_request(
+                _spec("virtualized", config=GPUConfig.shrunk(0.5))
+            ),
+        ]
+        first, first_stats = _serve_once(address, cache_dir, requests)
+        assert [r["served"] for r in first] == ["executed"] * 2
+        assert first_stats["executed"] == 2
+
+        second, second_stats = _serve_once(address, cache_dir, requests)
+        assert [r["served"] for r in second] == ["cache"] * 2
+        assert second_stats["executed"] == 0
+        assert second_stats["cache_hits"] == 2
+        for before, after in zip(first, second):
+            assert set(after) == set(before)
+            for name in before:
+                if name != "served":
+                    assert after[name] == before[name], name
+            for field in dataclasses.fields(SimStats):
+                assert (
+                    after["stats"][field.name]
+                    == before["stats"][field.name]
+                ), field.name
 
 
 class TestLoadgen:
