@@ -15,12 +15,11 @@ the cycle-skipping engine (the default) and once on the strict
 per-cycle path (``cycle_skip=False``, the engine PR 2 shipped). Both
 throughputs are recorded, so ``speedup`` — the machine-independent
 ratio between them — tracks whether the skip engine keeps paying off.
-The ``flags`` mode is likewise timed three ways: under the default
-engine stack (cross-warp batching over the struct-of-arrays lane
-engine), under the per-warp vector path (``REPRO_WARP_BATCH=0``), and
-under the dict-layout reference (``REPRO_VECTOR_LANES=0``);
-``batch_speedup`` and ``vector_speedup`` are the within-run ratios
-against the reference walls.
+The ``flags`` mode is likewise timed twice: under the default engine
+stack (cross-warp batching over the struct-of-arrays issue path) and
+under the per-warp vector path (``REPRO_WARP_BATCH=0``);
+``batch_speedup`` is the within-run ratio against the reference
+wall.
 
 Usage::
 
@@ -87,8 +86,8 @@ from repro.workloads.suite import Workload, get_workload
 #: ``*_noskip`` / ``speedup`` fields. v3 switches ``--repeat`` to
 #: best-of-N wall timing and adds the optional ``pipeline`` section
 #: (cold/warm result-cache wall clock + sweep-planner dedup ratio).
-#: v4 times the flags mode under both register-state engines
-#: (``REPRO_VECTOR_LANES``) and adds its ``*_scalar`` /
+#: v4 times the flags mode under both register-state engines (the
+#: since-retired dict-layout decoded engine) and adds its ``*_scalar`` /
 #: ``vector_speedup`` fields. v5 additionally times the flags mode
 #: with cross-warp batching off (``REPRO_WARP_BATCH=0``) and adds the
 #: ``wall_seconds_nobatch`` / ``cycles_per_second_batch`` /
@@ -105,8 +104,12 @@ from repro.workloads.suite import Workload, get_workload
 #: deletes the closure engine and its four v6 flags-mode fields (off
 #: wall, samples, alias throughput, speedup) and its gate floor;
 #: older reference files still gate, and their extra fields are
-#: ignored.
-SCHEMA = "repro-bench-hotpath/8"
+#: ignored. v9 deletes the dict-layout decoded engine and its v4
+#: flags-mode fields (``wall_seconds_scalar``,
+#: ``cycles_per_second_scalar``, ``vector_speedup``,
+#: ``wall_samples_scalar``) and gate floor; older reference files still
+#: gate the same way.
+SCHEMA = "repro-bench-hotpath/9"
 
 #: The fixed sample: small/medium kernels spanning ALU-heavy
 #: (matrixmul), divergent (blackscholes) and barrier-heavy (reduction)
@@ -132,15 +135,6 @@ MODES = ("baseline", "flags", "redefine", "shrink")
 #: a clear win even on small --quick runs, where per-``simulate``
 #: setup dilutes the full-run ratio.
 GATE_SPEEDUP_FLOOR = 1.5
-
-#: Minimum flags-mode vector-engine speedup (struct-of-arrays lane
-#: engine vs. the dict-layout reference, measured within the same run)
-#: the gate accepts. This is a *non-regression* floor, not the
-#: engine's typical win: it fails only when the vector engine stops
-#: paying for itself (speedup ~1.0 would mean the fast path silently
-#: degenerated into the reference path), while staying green across
-#: noisy shared runners.
-GATE_VECTOR_SPEEDUP_FLOOR = 1.05
 
 #: Minimum flags-mode batch-engine speedup (cross-warp batching vs.
 #: the per-warp vector path, measured within the same run) the gate
@@ -220,8 +214,8 @@ def _time_engine_off(
     run, repeats: int, flag: str
 ) -> tuple[float, list[float]]:
     """Best-of-``repeats`` wall time (plus the raw samples) of ``run``
-    with one engine flag (``REPRO_VECTOR_LANES`` or
-    ``REPRO_WARP_BATCH``) forced to ``0`` for the timed region only.
+    with one engine flag (``REPRO_WARP_BATCH``) forced to ``0`` for the
+    timed region only.
     Cores resolve the flags at construction, inside the ``simulate``
     call, so an env override around the call is exact."""
     prior = os.environ.get(flag)
@@ -328,24 +322,12 @@ def _bench_mode(
         record["speedup"] = wall_noskip / wall if wall > 0 else 0.0
         record["wall_samples_noskip"] = samples_noskip
     if mode == "flags":
-        # The flags flow is where the fast engines bind their inlined
-        # issue/tick paths; time each reference engine too so the
-        # ratios are measured within one run. The default ``wall``
-        # above already runs the full stack (cross-warp batching over
-        # the vector lane engine), so ``cycles_per_second_batch`` is
-        # its explicit alias and the speedups divide the reference
-        # walls by it.
-        wall_scalar, samples_scalar = _time_engine_off(
-            run, repeats, "REPRO_VECTOR_LANES"
-        )
-        record["wall_seconds_scalar"] = wall_scalar
-        record["cycles_per_second_scalar"] = (
-            cycles / wall_scalar if wall_scalar > 0 else 0.0
-        )
-        record["vector_speedup"] = (
-            wall_scalar / wall if wall > 0 else 0.0
-        )
-        record["wall_samples_scalar"] = samples_scalar
+        # The flags flow is where the batch engine binds; time the
+        # per-warp reference too so the ratio is measured within one
+        # run. The default ``wall`` above already runs the full stack
+        # (cross-warp batching over the vector issue path), so
+        # ``cycles_per_second_batch`` is its explicit alias and the
+        # speedup divides the reference wall by it.
         wall_nobatch, samples_nobatch = _time_engine_off(
             run, repeats, "REPRO_WARP_BATCH"
         )
@@ -380,7 +362,6 @@ def run_benchmark(
     for mode in MODES:
         wall = 0.0
         wall_noskip = 0.0
-        wall_scalar = 0.0
         wall_nobatch = 0.0
         cycles = 0
         instructions = 0
@@ -397,7 +378,6 @@ def run_benchmark(
             per_workload[workload.name] = record
             wall += record["wall_seconds"]
             wall_noskip += record.get("wall_seconds_noskip", 0.0)
-            wall_scalar += record.get("wall_seconds_scalar", 0.0)
             wall_nobatch += record.get("wall_seconds_nobatch", 0.0)
             cycles += record["cycles"]
             instructions += record["instructions"]
@@ -424,13 +404,6 @@ def run_benchmark(
             )
             summary["speedup"] = wall_noskip / wall if wall > 0 else 0.0
         if mode == "flags":
-            summary["wall_seconds_scalar"] = wall_scalar
-            summary["cycles_per_second_scalar"] = (
-                cycles / wall_scalar if wall_scalar > 0 else 0.0
-            )
-            summary["vector_speedup"] = (
-                wall_scalar / wall if wall > 0 else 0.0
-            )
             summary["wall_seconds_nobatch"] = wall_nobatch
             summary["cycles_per_second_batch"] = summary[
                 "cycles_per_second"
@@ -540,12 +513,9 @@ _REQUIRED_SHRINK_FIELDS = (
     ("speedup", (int, float)),
 )
 
-#: Extra fields the flags mode must carry (v4: both register-state
-#: engines are timed; v5: the per-warp no-batch reference too).
+#: Extra fields the flags mode must carry (v5: the per-warp no-batch
+#: reference is timed too).
 _REQUIRED_FLAGS_FIELDS = (
-    ("wall_seconds_scalar", (int, float)),
-    ("cycles_per_second_scalar", (int, float)),
-    ("vector_speedup", (int, float)),
     ("wall_seconds_nobatch", (int, float)),
     ("cycles_per_second_batch", (int, float)),
     ("batch_speedup", (int, float)),
@@ -759,13 +729,6 @@ def compare_bench(old: dict, new: dict) -> str:
             f"shrink speedup (skip on vs per-cycle): "
             f"old {fmt(old_speed)}  new {fmt(new_speed)}"
         )
-    old_vec = old.get("modes", {}).get("flags", {}).get("vector_speedup")
-    new_vec = new.get("modes", {}).get("flags", {}).get("vector_speedup")
-    if old_vec is not None or new_vec is not None:
-        lines.append(
-            f"flags vector-engine speedup (SoA vs dict layout): "
-            f"old {fmt(old_vec)}  new {fmt(new_vec)}"
-        )
     old_bat = old.get("modes", {}).get("flags", {}).get("batch_speedup")
     new_bat = new.get("modes", {}).get("flags", {}).get("batch_speedup")
     if old_bat is not None or new_bat is not None:
@@ -842,20 +805,9 @@ def gate_bench(old: dict, new: dict, pct: float) -> list[str]:
             f"gate: shrink cycle-skip speedup {speedup:.2f}x below "
             f"floor {GATE_SPEEDUP_FLOOR:.1f}x"
         )
-    # The vector engine must not regress against its own in-run
-    # dict-layout reference (gated only once the reference file carries
-    # the v4 fields, so older files keep gating cleanly).
-    if "vector_speedup" in old.get("modes", {}).get("flags", {}):
-        vector = new.get("modes", {}).get("flags", {}).get("vector_speedup")
-        if vector is None:
-            errors.append("gate: new results lack flags vector_speedup")
-        elif vector < GATE_VECTOR_SPEEDUP_FLOOR:
-            errors.append(
-                f"gate: flags vector-engine speedup {vector:.2f}x below "
-                f"floor {GATE_VECTOR_SPEEDUP_FLOOR:.2f}x"
-            )
-    # Same pattern for the batch engine, gated only once the reference
-    # file carries the v5 fields so pre-v5 files keep gating cleanly.
+    # The batch engine must not regress against its own in-run
+    # per-warp reference (gated only once the reference file carries
+    # the v5 fields, so pre-v5 files keep gating cleanly).
     # The floor is a non-regression bound, not a win claim — see
     # GATE_BATCH_SPEEDUP_FLOOR.
     if "batch_speedup" in old.get("modes", {}).get("flags", {}):
@@ -946,12 +898,6 @@ def _report(data: dict) -> str:
         f"cycle skipping speeds it up {shrink['speedup']:.2f}x"
     )
     flags = data["modes"]["flags"]
-    lines.append(
-        f"flags dict-layout engine: {flags['wall_seconds_scalar']:.2f}s "
-        f"({flags['cycles_per_second_scalar']:,.1f} cycles/s) -> "
-        f"vector lane engine speeds it up "
-        f"{flags['vector_speedup']:.2f}x"
-    )
     lines.append(
         f"flags per-warp vector path: "
         f"{flags['wall_seconds_nobatch']:.2f}s -> cross-warp batching "

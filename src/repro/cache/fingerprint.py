@@ -7,8 +7,7 @@ A cache key must identify *everything* a result depends on:
 * the launch geometry and the full :class:`~repro.arch.GPUConfig`;
 * the simulation kwargs (``mode``, ``threshold``, wave caps, sampling);
 * the **engine fingerprint**: the ``REPRO_DECODE_CACHE`` /
-  ``REPRO_CYCLE_SKIP`` / ``REPRO_VECTOR_LANES`` /
-  ``REPRO_WARP_BATCH`` environment switches plus
+  ``REPRO_CYCLE_SKIP`` / ``REPRO_WARP_BATCH`` environment switches plus
   :data:`CACHE_SCHEMA_VERSION`. The engine flags are semantically
   bit-identical, but the ``ticks_executed`` / ``skipped_cycles``
   diagnostics differ between them, and a cached result must round-trip
@@ -122,7 +121,6 @@ def engine_fingerprint(cycle_skip: bool | None = None) -> tuple:
         CACHE_SCHEMA_VERSION,
         _flag("REPRO_DECODE_CACHE"),
         bool(cycle_skip),
-        _flag("REPRO_VECTOR_LANES"),
         _flag("REPRO_WARP_BATCH"),
     )
 

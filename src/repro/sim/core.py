@@ -24,6 +24,7 @@ import enum
 import heapq
 import itertools
 import os
+from types import MethodType
 
 import numpy as np
 
@@ -46,8 +47,6 @@ from repro.sim.execute import (
     array_to_mask,
     effective_mask,
     execute,
-    execute_decoded,
-    execute_decoded_vector,
     execute_deferred_group,
     execute_deferred_single,
 )
@@ -241,8 +240,9 @@ class SMCore:
         # Per-kernel decode cache (see repro.sim.decode): flat
         # precomputed views of each static instruction, shareable across
         # the cores of one GPU. ``REPRO_DECODE_CACHE=0`` falls back to
-        # the uncached issue path (kept verbatim as
-        # ``_try_issue_uncached``) for equivalence testing.
+        # the seed reference engine: the uncached issue path (kept
+        # verbatim as ``_try_issue_uncached``) over dict-layout
+        # :class:`Warp` state, for equivalence testing.
         self._decode_cache: DecodeCache | None = None
         self._decode: list[DecodedInst] | None = None
         env = os.environ.get("REPRO_DECODE_CACHE", "1").strip().lower()
@@ -258,44 +258,31 @@ class SMCore:
                 )
             self._decode = self._decode_cache.entries
 
-        # Lane engine (see docs/INTERNALS.md, "Struct-of-arrays lane
-        # engine"): struct-of-arrays warps with in-place masked writes
-        # by default; ``REPRO_VECTOR_LANES=0`` selects the dict-backed
-        # reference layout with fresh ``np.where`` merges. Env-only,
-        # like ``REPRO_DECODE_CACHE`` — process-pool workers inherit
-        # the environment. Both engines produce bit-identical
-        # :class:`SimStats` per field.
-        env_vec = os.environ.get("REPRO_VECTOR_LANES", "1")
-        self.vector_lanes = env_vec.strip().lower() not in (
-            "0", "off", "false"
-        )
-        self._exec_decoded = (
-            execute_decoded_vector if self.vector_lanes else execute_decoded
-        )
-        # Pre-resolved issue entry point (instance attribute shadowing
-        # the method; cores are never pickled — workers rebuild them
-        # from CoreJob specs). The vector engine gets a deeply inlined
-        # issue/execute/retire frame for the tracer-less flags-mode +
-        # decode-cache combination — the configuration the lane-engine
-        # bench leg measures. Every other combination keeps the generic
-        # dispatch, whose execute stage already follows the selected
-        # lane engine via ``_exec_decoded``.
+        # Pre-resolved issue and tick entry points (see the ``tick`` /
+        # ``_try_issue`` properties). A decode-cached core runs every
+        # register mode on one inlined issue/execute/retire frame over
+        # struct-of-arrays :class:`VectorWarp` state (see
+        # docs/INTERNALS.md, "Struct-of-arrays lane engine"); the
+        # round-robin policies also get the matching inlined tick,
+        # greedy-then-oldest keeps the generic scheduler calls.
         self._underprov = config.is_underprovisioned
         self._bank_preserving = config.bank_preserving_renaming
-        if self._decode is None:
-            self._try_issue = self._try_issue_uncached
-        elif (
-            self.vector_lanes
-            and self.renaming is not None
-            and self.renaming.mode == "flags"
+        #: Tracer-less flags mode: the issue frame inlines the
+        #: ``RenamingTable.release`` fast path (and, with canonical
+        #: bank-preserving renaming, the ``write`` allocation fast path);
+        #: redefine and traced cores call the table's generic methods.
+        self._inline_renaming = (
+            self.renaming is not None
+            and mode == "flags"
             and self.renaming.tracer is None
-        ):
-            self._try_issue = self._try_issue_vector
+        )
+        self._inline_alloc = self._inline_renaming and self._bank_preserving
+        self._issue_fn = SMCore._try_issue_uncached
+        self._tick_fn = SMCore._tick_generic
+        if self._decode is not None:
+            self._issue_fn = SMCore._try_issue_vector
             if config.scheduler_policy != "gto":
-                # The round-robin candidates()/issued() pair inlines
-                # into the vector tick; greedy-then-oldest keeps the
-                # generic scheduler calls.
-                self.tick = self._tick_vector
+                self._tick_fn = SMCore._tick_vector
 
         # Cross-warp batch engine (see docs/INTERNALS.md, "Cross-warp
         # batching"): ALU/SETP value computation is deferred at issue
@@ -325,9 +312,9 @@ class SMCore:
         self._batch_bufs: BatchBuffers | None = None
         if (
             self.warp_batch
-            and self.tick.__func__ is SMCore._tick_vector
+            and self._inline_alloc
+            and self._tick_fn is SMCore._tick_vector
             and not self._underprov
-            and self._bank_preserving
             and sample_interval == 0
         ):
             self._batch_bufs = BatchBuffers(
@@ -335,8 +322,26 @@ class SMCore:
             )
             self._nb = self.regfile.num_banks
             self._lane_tmpl = np.arange(config.warp_size, dtype=np.int64)
-            self._try_issue = self._try_issue_batch
-            self.tick = self._tick_batch
+            self._issue_fn = SMCore._try_issue_batch
+            self._tick_fn = SMCore._tick_batch
+
+    # The engine entry points are stored as plain functions and bound on
+    # access: a bound method kept on the core would be a core -> method
+    # -> core reference cycle, holding every finished core (its warps,
+    # register banks and memories) until the next cyclic garbage
+    # collection instead of freeing it with its last reference.
+    @property
+    def tick(self) -> MethodType:
+        """Advance the core by one tick on the engine bound at
+        construction (with cycle skipping, a non-issuing tick may jump
+        several cycles)."""
+        return MethodType(self._tick_fn, self)
+
+    @property
+    def _try_issue(self) -> MethodType:
+        """Attempt to issue one instruction from a warp on the issue
+        path bound at construction; returns an :class:`_Issue`."""
+        return MethodType(self._issue_fn, self)
 
     # ------------------------------------------------------------------ events
     def _push_event(self, cycle: int, kind: str, payload: tuple) -> None:
@@ -463,7 +468,7 @@ class SMCore:
             self._free_warp_slots.pop(0)
             active = min(self.config.warp_size, threads_left)
             threads_left -= active
-            if self.vector_lanes:
+            if self._decode is not None:
                 warp = VectorWarp(
                     wslot, cta, index, self.config.warp_size, active,
                     num_regs=self.regs_per_thread,
@@ -661,20 +666,29 @@ class SMCore:
             self._next_sample += self.sample_interval
 
     # -------------------------------------------------------------------- issue
-    def _try_issue(self, warp: Warp, now: int,
-                   forbid_alloc: bool = False) -> _Issue:
-        """Attempt to issue one instruction from ``warp``.
+    def _try_issue_vector(self, warp: Warp, now: int,
+                          forbid_alloc: bool = False) -> _Issue:
+        """Decode-cached issue path: one frame for every register mode.
 
-        Dispatches to the decode-cached fast path when the per-kernel
-        decode cache is enabled, else to the original per-issue decode
-        path (``_try_issue_uncached``). Both paths produce bit-identical
-        :class:`SimStats`; the cached one just indexes precomputed flat
-        data instead of re-deriving it per dynamic instruction.
+        Attempts to issue one instruction from ``warp`` with the issue,
+        register-access, execute (struct-of-arrays :class:`VectorWarp`
+        rows) and retire stages unrolled into one frame, driven by the
+        kernel's :class:`DecodedInst` records. Register access and
+        releases branch on core state fixed at construction:
+
+        * baseline cores (``renaming is None``) index the precomputed
+          compiler banks, through the register file cache when one is
+          configured;
+        * tracer-less flags cores inline the ``RenamingTable.release``
+          fast path and, with bank-preserving renaming, the ``write``
+          allocation fast path;
+        * redefine and traced flags cores call the table's generic
+          ``write`` / ``release``.
+
+        Semantics are line-for-line those of ``_try_issue_uncached``
+        (the seed reference); the equivalence grids pin every
+        :class:`SimStats` field and the memory image against it.
         """
-        decode = self._decode
-        if decode is None:
-            return self._try_issue_uncached(warp, now, forbid_alloc)
-
         stack = warp.stack
         if len(stack._stack) > 1:
             stack.maybe_reconverge()
@@ -683,6 +697,7 @@ class SMCore:
 
         # Zero-cost skip of pir flag words already in the release flag
         # cache (Section 7.2), dispatching on precomputed opcode tags.
+        decode = self._decode
         while True:
             d = decode[top.pc]
             if d.is_pir:
@@ -727,27 +742,92 @@ class SMCore:
                 return _Issue.SCOREBOARD
 
         # Register access (the cached twin of ``_register_access``):
-        # renaming-table lookup conflicts, destination mapping, source
-        # reads and bank-conflict accounting, all driven by the decoded
-        # record. Register-file read/write accounting is inlined.
+        # destination mapping, source reads and bank-conflict
+        # accounting, all driven by the decoded record. Register-file
+        # read/write accounting is inlined.
         penalty = 0
         regfile = self.regfile
         bank_acc = stats.rf_bank_accesses
-        regs_per_bank = regfile.regs_per_bank
-        if renaming is not None:
+        dst = d.dst
+        if renaming is None:
+            rfc = self.rfc
+            slotmod = slot % regfile.num_banks
+            src_banks = d.src_banks_by_slotmod[slotmod]
+            if rfc is None:
+                if dst is not None:
+                    stats.rf_writes += 1
+                    bank_acc[d.dst_bank_by_slotmod[slotmod]] += 1
+                if src_banks:
+                    stats.rf_reads += len(src_banks)
+                    for bank in src_banks:
+                        bank_acc[bank] += 1
+                    extra = d.baseline_conflict_extra
+                    if extra:
+                        stats.stall_bank_conflict_cycles += extra
+                        penalty += extra
+            else:
+                if dst is not None:
+                    evicted = rfc.write(slot, dst)
+                    if evicted is not None:
+                        self._mrf_writebacks(warp, [evicted])
+                banks = []
+                for reg, bank in zip(d.dedup_srcs, src_banks):
+                    if rfc.read(slot, reg):
+                        continue  # RFC hit: no main-register-file access
+                    stats.rf_reads += 1
+                    bank_acc[bank] += 1
+                    banks.append(bank)
+                if len(banks) > 1:
+                    extra = len(banks) - len(set(banks))
+                    if extra:
+                        stats.stall_bank_conflict_cycles += extra
+                        penalty += extra
+        else:
+            regs_per_bank = regfile.regs_per_bank
             if d.lookup_conflict_extra:
                 stats.renaming_conflict_cycles += d.lookup_conflict_extra
             warp_map = renaming._maps[slot]
-            if d.dst is not None:
-                if forbid_alloc and d.dst_above and d.dst not in warp_map:
+            if dst is not None:
+                if not d.dst_above:
+                    dst_phys = renaming._direct[slot][dst]
+                elif forbid_alloc and dst not in warp_map:
                     return _Issue.FORBIDDEN
-                result = renaming.write(slot, d.dst, now)
-                if result is None:
-                    return _Issue.ALLOC
-                dst_phys, wake = result
-                if wake:
-                    penalty += wake
-                    stats.stall_wakeup_cycles += wake
+                elif self._inline_alloc:
+                    # ``RenamingTable.write`` in flags mode, with
+                    # ``_allocate`` unrolled: the compiler bank is the
+                    # decode cache's precomputed ``(dst + slot) %
+                    # num_banks``.
+                    stats.renaming_reads += 1
+                    dst_phys = warp_map.get(dst)
+                    if dst_phys is None:
+                        result = regfile.allocate(
+                            d.dst_bank_by_slotmod[slot % regfile.num_banks],
+                            now,
+                        )
+                        if result is None:
+                            return _Issue.ALLOC
+                        dst_phys, wake = result
+                        warp_map[dst] = dst_phys
+                        renaming._released_live[slot].discard(dst)
+                        stats.renaming_writes += 1
+                        renaming.version += 1
+                        cta_id = renaming._cta_of_warp[slot]
+                        renaming.cta_allocated[cta_id] += 1
+                        ever = renaming._ever[slot]
+                        if dst not in ever:
+                            ever.add(dst)
+                            renaming.cta_assigned[cta_id] += 1
+                        if wake:
+                            penalty += wake
+                            stats.stall_wakeup_cycles += wake
+                else:
+                    result = renaming.write(slot, dst, now)
+                    if result is None:
+                        return _Issue.ALLOC
+                    dst_phys, wake = result
+                    if wake:
+                        penalty += wake
+                        stats.stall_wakeup_cycles += wake
                 stats.rf_writes += 1
                 bank_acc[dst_phys // regs_per_bank] += 1
             banks: list[int] = []
@@ -779,285 +859,16 @@ class SMCore:
                 if extra:
                     stats.stall_bank_conflict_cycles += extra
                     penalty += extra
-        else:
-            rfc = self.rfc
-            slotmod = slot % regfile.num_banks
-            src_banks = d.src_banks_by_slotmod[slotmod]
-            if rfc is None:
-                if d.dst is not None:
-                    stats.rf_writes += 1
-                    bank_acc[d.dst_bank_by_slotmod[slotmod]] += 1
-                if src_banks:
-                    stats.rf_reads += len(src_banks)
-                    for bank in src_banks:
-                        bank_acc[bank] += 1
-                    extra = d.baseline_conflict_extra
-                    if extra:
-                        stats.stall_bank_conflict_cycles += extra
-                        penalty += extra
-            else:
-                if d.dst is not None:
-                    evicted = rfc.write(slot, d.dst)
-                    if evicted is not None:
-                        self._mrf_writebacks(warp, [evicted])
-                banks = []
-                for reg, bank in zip(d.dedup_srcs, src_banks):
-                    if rfc.read(slot, reg):
-                        continue  # RFC hit: no main-register-file access
-                    stats.rf_reads += 1
-                    bank_acc[bank] += 1
-                    banks.append(bank)
-                if len(banks) > 1:
-                    extra = len(banks) - len(set(banks))
-                    if extra:
-                        stats.stall_bank_conflict_cycles += extra
-                        penalty += extra
 
-        taken = self._exec_decoded(d, warp, self.gmem)
-        stats.instructions += 1
-        warp.last_issue_cycle = now
-
-        if renaming is not None and d.release_list is not None:
-            release = renaming.release
-            for reg in d.release_list:
-                release(slot, reg, now)
-
-        self._retire_cached(warp, d, taken, penalty, now)
-        return _Issue.ISSUED
-
-    def _retire_cached(self, warp: Warp, d: DecodedInst, taken: int | None,
-                       penalty: int, now: int) -> None:
-        """Decode-cached twin of ``_retire``."""
-        config = self.config
-        stats = self.stats
-
-        if d.is_branch:
-            stats.branches += 1
-            stack = warp.stack
-            fallthrough = d.pc + 1
-            if d.guard_preg is None:
-                stack.pc = d.target_pc
-            else:
-                if d.reconv_pc is None:
-                    raise SimulationError(
-                        f"conditional branch at pc {d.pc} has no "
-                        "reconvergence point (kernel not compiled?)"
-                    )
-                if stack.branch(taken, d.target_pc, fallthrough,
-                                d.reconv_pc):
-                    stats.divergent_branches += 1
-            if self.renaming is not None and stack.pc != fallthrough:
-                # The extra renaming pipeline stage (7.1) deepens the
-                # front end, so a taken-branch redirect costs one more
-                # bubble cycle than the baseline.
-                warp.stall_front_end(
-                    now + 1 + config.renaming_extra_cycles,
-                    self._stalled_wakeups,
-                )
-            return
-
-        if d.is_exit:
-            exit_mask = array_to_mask(effective_mask(warp, d.inst))
-            if warp.stack.exit_lanes(exit_mask):
-                self._finish_warp(warp, now)
-            elif warp.pc == d.pc:
-                warp.pc += 1
-            return
-
-        if d.is_barrier:
-            stats.barriers += 1
-            warp.pc += 1
-            self._arrive_barrier(
-                warp, self.schedulers[warp.slot % len(self.schedulers)]
-            )
-            return
-
-        warp.pc += 1
-
-        if d.is_global_mem:
-            stats.memory_instructions += 1
-            complete = self.mem_unit.request(now) + penalty
-            if not d.is_store:
-                warp.scoreboard_mark(d.inst)
-                warp.outstanding_mem += 1
-                self._push_event(complete, "mem_wb", (warp, d.inst))
-                self.schedulers[warp.slot % len(self.schedulers)].demote(
-                    warp
-                )
-                if self.rfc is not None:
-                    # The RFC only backs active warps: demotion flushes
-                    # the warp's dirty lines to the MRF ([20]).
-                    self._mrf_writebacks(
-                        warp, self.rfc.flush_warp(warp.slot)
-                    )
-            return
-
-        if d.is_shared_mem:
-            stats.memory_instructions += 1
-            if not d.is_store:
-                warp.scoreboard_mark(d.inst)
-                self._push_event(
-                    now + config.shared_mem_latency + penalty,
-                    "wb", (warp, d.inst),
-                )
-            return
-
-        if d.needs_wb:
-            warp.scoreboard_mark(d.inst)
-            latency = (
-                config.sfu_latency if d.is_sfu else config.alu_latency
-            )
-            self._push_event(now + latency + penalty, "wb", (warp, d.inst))
-
-    def _try_issue_vector(self, warp: Warp, now: int,
-                          forbid_alloc: bool = False) -> _Issue:
-        """Struct-of-arrays issue fast path (``REPRO_VECTOR_LANES=1``).
-
-        The vector engine's twin of ``_try_issue`` with the execute
-        stage (``execute_decoded_vector``), the retire stage
-        (``_retire_cached``) and the flags-mode fast paths of
-        ``RenamingTable.write`` / ``release`` unrolled into one frame.
-        Bound as the core's issue entry point only for tracer-less
-        flags-mode cores with a decode cache, so it may assume
-        ``renaming`` exists, ``mode == "flags"`` and ``rfc is None``.
-        Semantics are line-for-line those of the generic path; the
-        equivalence grids pin every :class:`SimStats` field against the
-        dict engine.
-        """
-        stack = warp.stack
-        if len(stack._stack) > 1:
-            stack.maybe_reconverge()
-        stats = self.stats
-        top = stack._stack[-1]
-
-        decode = self._decode
-        while True:
-            d = decode[top.pc]
-            if d.is_pir:
-                flag_cache = self.flag_cache
-                if flag_cache is not None and flag_cache.probe(d.pc):
-                    stats.pir_skipped += 1
-                    top.pc += 1
-                    continue
-                if flag_cache is not None:
-                    flag_cache.install(d.pc)
-                stats.pir_decoded += 1
-                top.pc += 1
-                warp.last_issue_cycle = now
-                return _Issue.ISSUED
-            break
-
-        renaming = self.renaming
-        slot = warp.slot
-
-        if d.is_pbr:
-            stats.pbr_decoded += 1
-            release = renaming.release
-            for reg in d.release_regs:
-                release(slot, reg, now)
-            top.pc += 1
-            warp.last_issue_cycle = now
-            return _Issue.ISSUED
-
-        pending = warp.pending_regs
-        if pending:
-            for reg in d.srcs:
-                if reg in pending:
-                    return _Issue.SCOREBOARD
-            if d.dst is not None and d.dst in pending:
-                return _Issue.SCOREBOARD
-        pending_preds = warp.pending_preds
-        if pending_preds:
-            if d.guard_preg is not None and d.guard_preg in pending_preds:
-                return _Issue.SCOREBOARD
-            if d.pdst is not None and d.pdst in pending_preds:
-                return _Issue.SCOREBOARD
-
-        # Register access: ``_try_issue``'s renaming branch with the
-        # ``RenamingTable.write`` mapped/direct fast paths inlined (the
-        # allocate slow path still goes through ``_allocate``).
-        penalty = 0
-        regfile = self.regfile
-        bank_acc = stats.rf_bank_accesses
-        regs_per_bank = regfile.regs_per_bank
-        if d.lookup_conflict_extra:
-            stats.renaming_conflict_cycles += d.lookup_conflict_extra
-        warp_map = renaming._maps[slot]
-        dst = d.dst
-        if dst is not None:
-            if d.dst_above:
-                if forbid_alloc and dst not in warp_map:
-                    return _Issue.FORBIDDEN
-                stats.renaming_reads += 1
-                dst_phys = warp_map.get(dst)
-                if dst_phys is None:
-                    if self._bank_preserving:
-                        # ``RenamingTable._allocate`` unrolled: the
-                        # compiler bank is the decode cache's
-                        # precomputed ``(dst + slot) % num_banks``.
-                        result = regfile.allocate(
-                            d.dst_bank_by_slotmod[
-                                slot % regfile.num_banks
-                            ],
-                            now,
-                        )
-                        if result is None:
-                            return _Issue.ALLOC
-                        dst_phys, wake = result
-                        warp_map[dst] = dst_phys
-                        renaming._released_live[slot].discard(dst)
-                        stats.renaming_writes += 1
-                        renaming.version += 1
-                        cta_id = renaming._cta_of_warp[slot]
-                        renaming.cta_allocated[cta_id] += 1
-                        ever = renaming._ever[slot]
-                        if dst not in ever:
-                            ever.add(dst)
-                            renaming.cta_assigned[cta_id] += 1
-                    else:  # least-occupied-bank ablation
-                        result = renaming._allocate(slot, dst, now)
-                        if result is None:
-                            return _Issue.ALLOC
-                        dst_phys, wake = result
-                    if wake:
-                        penalty += wake
-                        stats.stall_wakeup_cycles += wake
-            else:
-                dst_phys = renaming._direct[slot][dst]
-            stats.rf_writes += 1
-            bank_acc[dst_phys // regs_per_bank] += 1
-        banks: list[int] = []
-        if d.below_srcs:
-            direct = renaming._direct[slot]
-            for reg in d.below_srcs:
-                phys = direct[reg]
-                stats.rf_reads += 1
-                bank = phys // regs_per_bank
-                bank_acc[bank] += 1
-                banks.append(bank)
-        for reg in d.above_srcs:
-            stats.renaming_reads += 1
-            phys = warp_map.get(reg)
-            if phys is None:
-                if reg in renaming._released_live[slot]:
-                    raise RenamingError(
-                        f"use-after-release: warp {slot} read r{reg} "
-                        "after its compiler-directed release (unsound "
-                        "release plan)"
-                    )
-                continue
-            stats.rf_reads += 1
-            bank = phys // regs_per_bank
-            bank_acc[bank] += 1
-            banks.append(bank)
-        if len(banks) > 1:
-            extra = len(banks) - len(set(banks))
-            if extra:
-                stats.stall_bank_conflict_cycles += extra
-                penalty += extra
-
-        # Execute: ``execute_decoded_vector`` inlined. ``taken`` is the
-        # integer taken-mask for branches, unused otherwise.
+        # Execute on the warp's struct-of-arrays rows. Operand rows are
+        # resolved once per (warp, pc); ALU results are computed straight
+        # into the destination row when every lane is active, or staged
+        # through a scratch row and merged with one in-place masked
+        # ``np.copyto`` otherwise; the guard combine is one fused boolean
+        # ufunc. Lanes outside a partial tail warp's full mask may
+        # receive garbage on the full-active path: every observable read
+        # is combined with the active mask first (docs/INTERNALS.md).
+        # ``taken`` is the integer taken-mask for branches.
         entry = warp._vec_ops.get(d.pc)
         if entry is None:
             entry = _bind_rows(d, warp)
@@ -1132,26 +943,31 @@ class SMCore:
         stats.instructions += 1
         warp.last_issue_cycle = now
 
-        # Compiler-directed releases: ``RenamingTable.release`` with its
-        # ``_free`` helper unrolled (flags mode, tracer-less).
-        if d.release_list is not None:
-            threshold = renaming.threshold
-            rel_live = renaming._released_live[slot]
-            for reg in d.release_list:
-                if reg < threshold:
-                    continue
-                phys = warp_map.get(reg)
-                if phys is None:
-                    stats.wasted_releases += 1
-                    continue
-                stats.renaming_writes += 1
-                del warp_map[reg]
-                regfile.free(phys, now)
-                renaming.version += 1
-                renaming.cta_allocated[renaming._cta_of_warp[slot]] -= 1
-                rel_live.add(reg)
+        # Compiler-directed releases. Tracer-less flags cores run
+        # ``RenamingTable.release`` with its ``_free`` helper unrolled.
+        if d.release_list is not None and renaming is not None:
+            if self._inline_renaming:
+                threshold = renaming.threshold
+                rel_live = renaming._released_live[slot]
+                for reg in d.release_list:
+                    if reg < threshold:
+                        continue
+                    phys = warp_map.get(reg)
+                    if phys is None:
+                        stats.wasted_releases += 1
+                        continue
+                    stats.renaming_writes += 1
+                    del warp_map[reg]
+                    regfile.free(phys, now)
+                    renaming.version += 1
+                    renaming.cta_allocated[renaming._cta_of_warp[slot]] -= 1
+                    rel_live.add(reg)
+            else:
+                release = renaming.release
+                for reg in d.release_list:
+                    release(slot, reg, now)
 
-        # Retire: ``_retire_cached`` inlined.
+        # Retire (the cached twin of ``_retire``).
         config = self.config
 
         if d.is_branch:
@@ -1168,7 +984,10 @@ class SMCore:
                 if stack.branch(taken, d.target_pc, fallthrough,
                                 d.reconv_pc):
                     stats.divergent_branches += 1
-            if stack.pc != fallthrough:
+            if renaming is not None and stack.pc != fallthrough:
+                # The extra renaming pipeline stage (7.1) deepens the
+                # front end, so a taken-branch redirect costs one more
+                # bubble cycle than the baseline.
                 warp.stall_front_end(
                     now + 1 + config.renaming_extra_cycles,
                     self._stalled_wakeups,
@@ -1203,6 +1022,10 @@ class SMCore:
                 warp.outstanding_mem += 1
                 self._push_event(complete, "mem_wb", (warp, d.inst))
                 self.schedulers[slot % len(self.schedulers)].demote(warp)
+                if self.rfc is not None:
+                    # The RFC only backs active warps: demotion flushes
+                    # the warp's dirty lines to the MRF ([20]).
+                    self._mrf_writebacks(warp, self.rfc.flush_warp(slot))
             return _Issue.ISSUED
 
         if d.is_shared_mem:
@@ -2079,7 +1902,7 @@ class SMCore:
                     ].wake()
 
     # ---------------------------------------------------------------------- tick
-    def tick(self) -> None:
+    def _tick_generic(self) -> None:
         now = self.cycle
         if self._events:
             self._process_events(now)
@@ -2109,6 +1932,7 @@ class SMCore:
         active = WarpStatus.ACTIVE
         issued_any = False
         alloc_blocked = False
+        try_issue = self._issue_fn
         for sched in self.schedulers:
             if sched.pending or restricted is not None:
                 sched.refill(prefer_cta=restricted)
@@ -2122,7 +1946,7 @@ class SMCore:
                 forbid = (
                     restricted is not None and warp.cta.uid != restricted
                 )
-                outcome = self._try_issue(warp, now, forbid_alloc=forbid)
+                outcome = try_issue(self, warp, now, forbid_alloc=forbid)
                 if outcome is _Issue.ISSUED:
                     sched.issued(warp)
                     stats.issued += 1
@@ -2161,11 +1985,12 @@ class SMCore:
 
     def _tick_vector(self) -> None:
         """Vector-engine tick (bound alongside ``_try_issue_vector``
-        for the round-robin scheduler policies): ``tick`` with the
-        scheduler's ``candidates``/``issued`` fast paths and the
+        for the round-robin scheduler policies): ``_tick_generic`` with
+        the scheduler's ``candidates``/``issued`` fast paths and the
         throttle no-op unrolled inline. The stall/issue accounting is
-        line-for-line ``tick``'s — the equivalence grids compare every
-        :class:`SimStats` field across the two tick paths."""
+        line-for-line ``_tick_generic``'s — the equivalence grids
+        compare every :class:`SimStats` field across the two tick
+        paths."""
         now = self.cycle
         events = self._events
         if events and events[0][0] <= now:
@@ -2224,7 +2049,7 @@ class SMCore:
         active = WarpStatus.ACTIVE
         issued_any = False
         alloc_blocked = False
-        try_issue = self._try_issue
+        try_issue = self._issue_fn
         for sched in self.schedulers:
             if restricted is not None:
                 sched.refill(prefer_cta=restricted)
@@ -2253,7 +2078,7 @@ class SMCore:
                 forbid = (
                     restricted is not None and warp.cta.uid != restricted
                 )
-                outcome = try_issue(warp, now, forbid_alloc=forbid)
+                outcome = try_issue(self, warp, now, forbid_alloc=forbid)
                 if outcome is _Issue.ISSUED:
                     if warp in ready:
                         sched._rr = (ready.index(warp) + 1) % len(ready)
@@ -2345,7 +2170,7 @@ class SMCore:
         alloc_blocked = False
         sb_stalls = 0
         no_ready = 0
-        try_issue = self._try_issue
+        try_issue = self._issue_fn
         is_issued = _Issue.ISSUED
         is_scoreboard = _Issue.SCOREBOARD
         for sched in self.schedulers:
@@ -2375,7 +2200,7 @@ class SMCore:
                         sb_stalls += 1
                         continue
                     warp._sb_wait = False
-                outcome = try_issue(warp, now)
+                outcome = try_issue(self, warp, now)
                 if outcome is is_issued:
                     try:
                         sched._rr = (ready.index(warp) + 1) % len(ready)
@@ -2552,12 +2377,13 @@ class SMCore:
         return not self.resident and not self.cta_queue
 
     def run(self, max_cycles: int = 50_000_000) -> SimStats:
+        tick = self.tick
         while not self.done():
             if self.cycle > max_cycles:
                 raise SimulationError(
                     f"simulation exceeded {max_cycles} cycles"
                 )
-            self.tick()
+            tick()
         if self._dq:
             # Batch engine: exits flush the pool, so this only fires on
             # unusual final-instruction shapes — but the values must

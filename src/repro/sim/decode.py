@@ -11,8 +11,10 @@ itself.
 
 :func:`build_decode_cache` snapshots the kernel into a flat list of
 :class:`DecodedInst` records indexed by PC. The cache is pure derived
-data: it never changes simulated behaviour, only how fast
-``SMCore._try_issue`` gets at the same facts. One cache is shared by
+data: it never changes simulated behaviour, only how fast the
+decode-cached issue frame (``SMCore._try_issue_vector``, which serves
+every register mode, or the batch engine's ``_try_issue_batch`` on top
+of it) gets at the same facts. One cache is shared by
 every core running the same kernel under the same
 ``(num_banks, threshold, mode)`` key (see :class:`repro.sim.gpu.GPU`);
 process-pool workers rebuild it from the pickled kernel, which costs
@@ -31,7 +33,6 @@ from repro.arch import GPUConfig
 from repro.isa.kernel import Kernel
 from repro.isa.opcodes import MemSpace, Opcode, Unit, opcode_info
 from repro.sim.execute import (
-    _ALU_OPS,
     _ALU_OPS_OUT,
     _CMP,
     EXEC_ALU,
@@ -67,9 +68,9 @@ class DecodedInst:
         # baseline-path precomputation (per slot-class bank ids)
         "src_banks_by_slotmod", "dst_bank_by_slotmod",
         "baseline_conflict_extra",
-        # value-semantics dispatch (see execute_decoded and its
-        # struct-of-arrays twin execute_decoded_vector)
-        "exec_kind", "exec_handler", "exec_out", "offset", "setp_imm",
+        # value-semantics dispatch (the issue frame's inlined
+        # struct-of-arrays execute stage)
+        "exec_kind", "exec_out", "offset", "setp_imm",
         "setp_cmp",
         # retire
         "needs_wb", "target_pc", "reconv_pc",
@@ -151,10 +152,10 @@ class DecodedInst:
             {reg % num_banks for reg in self.dedup_srcs}
         )
 
-        # Value-semantics dispatch class plus the per-opcode handler,
-        # resolved once here instead of per dynamic instruction.
+        # Value-semantics dispatch class plus the per-opcode
+        # out-parameter handler, resolved once here instead of per
+        # dynamic instruction.
         self.offset = inst.offset
-        self.exec_handler = _ALU_OPS.get(inst.opcode)
         self.exec_out = _ALU_OPS_OUT.get(inst.opcode)
         self.setp_imm = None
         self.setp_cmp = None
@@ -167,7 +168,7 @@ class DecodedInst:
                 self.setp_imm = np.int64(inst.imm)
         elif info.is_memory:
             self.exec_kind = EXEC_STORE if info.is_store else EXEC_LOAD
-        elif self.exec_handler is not None:
+        elif self.exec_out is not None:
             self.exec_kind = EXEC_ALU
         else:
             self.exec_kind = EXEC_NONE

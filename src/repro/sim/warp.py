@@ -6,12 +6,14 @@ functional values. That separation lets the test suite check that
 baseline / renamed / GPU-shrink configurations compute identical
 results.
 
-Two storage layouts implement the same register API
-(``REPRO_VECTOR_LANES``):
+Two storage layouts implement the same register API; the core picks
+one with its issue engine:
 
-* :class:`Warp` — the seed reference: one 32-lane numpy array per
-  architected id in a dict, writes merged with a fresh ``np.where``;
-* :class:`VectorWarp` — struct-of-arrays: one contiguous 2D bank
+* :class:`Warp` — the seed reference (``REPRO_DECODE_CACHE=0``): one
+  32-lane numpy array per architected id in a dict, writes merged with
+  a fresh ``np.where``;
+* :class:`VectorWarp` — struct-of-arrays, for every decode-cached
+  core: one contiguous 2D bank
   (``regs[num_regs, warp_size]`` int64 plus a bool predicate bank)
   whose *rows* are permanent views, enabling in-place masked writes
   and per-(warp, pc) operand-row caching in the vector execute path.

@@ -13,7 +13,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.analysis.runners import (
@@ -120,14 +119,17 @@ def report(artifact_stats, result, design: str) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.no_cycle_skip:
-        os.environ["REPRO_CYCLE_SKIP"] = "0"
+    # An explicit simulate kwarg, not an env override: the engine choice
+    # must not leak into the calling process.
+    engine = {"cycle_skip": False} if args.no_cycle_skip else {}
     workload = get_workload(args.workload, scale=args.scale)
     waves = args.waves if args.waves > 0 else None
     config = _config(args)
 
     if args.design == "spill":
-        outcome = run_compiler_spill_baseline(workload, waves=waves)
+        outcome = run_compiler_spill_baseline(
+            workload, waves=waves, **engine
+        )
         stats = outcome.simulation.stats
         result = outcome.simulation
         print(f"workload         : {args.workload} "
@@ -141,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
             "shrink": run_virtualized,
             "redefine": run_hardware_only_baseline,
         }[args.design]
-        artifacts = runner(workload, config=config, waves=waves)
+        artifacts = runner(workload, config=config, waves=waves, **engine)
         stats = artifacts.stats
         result = artifacts.result
         print(f"workload         : {args.workload}")

@@ -13,7 +13,6 @@ from repro.analysis.bench import (
     GATE_SERVICE_DEDUPE_FLOOR,
     GATE_SERVICE_SPEEDUP_FLOOR,
     GATE_SPEEDUP_FLOOR,
-    GATE_VECTOR_SPEEDUP_FLOOR,
     MODES,
     SCHEMA,
     SHRINK_WORKLOADS,
@@ -29,12 +28,21 @@ from repro.analysis.bench import (
 #: compiler engine that v8 deleted. The engine's tag is assembled from
 #: its letters so no other line in the tree names the deleted engine.
 _RETIRED_TAG = "".join(("j", "i", "t"))
-RETIRED_FLAGS_FIELDS = (
+RETIRED_V8_FIELDS = (
     f"wall_seconds_no{_RETIRED_TAG}",
     f"cycles_per_second_{_RETIRED_TAG}",
     f"{_RETIRED_TAG}_speedup",
     f"wall_samples_no{_RETIRED_TAG}",
 )
+#: The flags-mode fields v4 to v8 result files carry for the
+#: dict-layout decoded engine that v9 deleted.
+RETIRED_V9_FIELDS = (
+    "wall_seconds_scalar",
+    "cycles_per_second_scalar",
+    "vector_speedup",
+    "wall_samples_scalar",
+)
+RETIRED_FLAGS_FIELDS = RETIRED_V8_FIELDS + RETIRED_V9_FIELDS
 
 #: One tiny workload keeps the CLI round-trips fast.
 TINY = [
@@ -77,18 +85,14 @@ class TestRunBenchmark:
         assert shrink["wall_seconds_noskip"] > 0
         assert shrink["cycles_per_second_noskip"] > 0
         assert shrink["speedup"] > 0
-        # The flags mode times both register-state engines (v4) and
-        # the per-warp no-batch reference (v5).
+        # The flags mode times the per-warp no-batch reference (v5).
         flags = data["modes"]["flags"]
-        assert flags["wall_seconds_scalar"] > 0
-        assert flags["cycles_per_second_scalar"] > 0
-        assert flags["vector_speedup"] > 0
         assert flags["wall_seconds_nobatch"] > 0
         assert flags["cycles_per_second_batch"] == flags[
             "cycles_per_second"
         ]
         assert flags["batch_speedup"] > 0
-        # v8 retired the v6 fields of the deleted engine.
+        # v8 and v9 retired the fields of the deleted engines.
         assert not set(RETIRED_FLAGS_FIELDS) & set(flags)
         # v6 variance fields on every record, mode and workload alike.
         for mode in MODES:
@@ -142,9 +146,10 @@ class TestValidate:
 
     def test_rejects_missing_flags_extras(self):
         data = self._valid()
-        del data["modes"]["flags"]["vector_speedup"]
+        del data["modes"]["flags"]["wall_seconds_nobatch"]
         assert any(
-            "modes.flags.vector_speedup" in e for e in validate_bench(data)
+            "modes.flags.wall_seconds_nobatch" in e
+            for e in validate_bench(data)
         )
 
     def test_rejects_missing_batch_fields(self):
@@ -176,7 +181,7 @@ class TestValidate:
 
 def _synthetic_result(
     base_cps=100.0, flags_cps=80.0, redefine_cps=70.0, shrink_cps=300.0,
-    speedup=3.0, vector_speedup=1.5, batch_speedup=1.0,
+    speedup=3.0, batch_speedup=1.0,
 ):
     """Minimal two-file comparison fixture (no simulation needed)."""
     modes = {}
@@ -204,9 +209,6 @@ def _synthetic_result(
         speedup=speedup,
     )
     modes["flags"].update(
-        wall_seconds_scalar=vector_speedup,
-        cycles_per_second_scalar=flags_cps / vector_speedup,
-        vector_speedup=vector_speedup,
         wall_seconds_nobatch=batch_speedup,
         cycles_per_second_batch=flags_cps,
         batch_speedup=batch_speedup,
@@ -345,18 +347,15 @@ class TestCompareAndGate:
         errors = gate_bench(old, new, pct=0.30)
         assert any("speedup" in e for e in errors)
 
-    def test_gate_fails_when_vector_engine_regresses(self):
-        old = _synthetic_result()
-        new = _synthetic_result(
-            vector_speedup=GATE_VECTOR_SPEEDUP_FLOOR - 0.1
-        )
-        errors = gate_bench(old, new, pct=0.30)
-        assert any("vector-engine" in e for e in errors)
-
     def test_gate_skips_vector_check_for_pre_v4_reference(self):
+        # A pre-v4 reference has no vector-engine fields; a run that
+        # still carries a stale vector_speedup far below the retired
+        # floor must gate clean against it.
         old = _synthetic_result()
-        del old["modes"]["flags"]["vector_speedup"]
-        new = _synthetic_result(vector_speedup=0.5)
+        old["schema"] = "repro-bench-hotpath/3"
+        assert not set(RETIRED_V9_FIELDS) & set(old["modes"]["flags"])
+        new = _synthetic_result()
+        new["modes"]["flags"]["vector_speedup"] = 0.5
         assert gate_bench(old, new, pct=0.30) == []
 
     def test_gate_fails_when_batch_engine_regresses(self):
@@ -374,17 +373,20 @@ class TestCompareAndGate:
         assert gate_bench(old, new, pct=0.30) == []
 
     def test_gate_accepts_v7_reference_with_retired_fields(self):
-        # A v7 reference still carries the retired engine's fields,
-        # with a speedup far below that engine's old floor; a v8 run
-        # has none of them. Neither side may trip the gate.
-        old = _synthetic_result()
-        old["schema"] = "repro-bench-hotpath/7"
-        for field in RETIRED_FLAGS_FIELDS:
-            old["modes"]["flags"][field] = 0.5
+        # v7 and v8 references still carry the retired engines' fields,
+        # with speedups far below those engines' old floors; a current
+        # run has none of them. Neither side may trip the gate.
         new = _synthetic_result()
         assert not set(RETIRED_FLAGS_FIELDS) & set(new["modes"]["flags"])
-        assert gate_bench(old, new, pct=0.30) == []
-        assert "+0.0%" in compare_bench(old, new)
+        for version, retired in (
+            (7, RETIRED_FLAGS_FIELDS), (8, RETIRED_V9_FIELDS),
+        ):
+            old = _synthetic_result()
+            old["schema"] = f"repro-bench-hotpath/{version}"
+            for field in retired:
+                old["modes"]["flags"][field] = 0.5
+            assert gate_bench(old, new, pct=0.30) == []
+            assert "+0.0%" in compare_bench(old, new)
 
     def test_gate_ignores_pipeline_when_reference_lacks_it(self):
         old = _synthetic_result()

@@ -1,16 +1,19 @@
 """The decode cache must be invisible: bit-identical statistics.
 
 The per-kernel decode cache (``repro.sim.decode``) and the cached issue
-path in ``SMCore`` are pure performance work — every counter in
-``SimStats`` must come out exactly equal to the uncached seed path,
-which stays available behind ``REPRO_DECODE_CACHE=0``. These tests pin
-that equivalence across workloads and register-management modes, plus
-the structural invariants of the decoded records themselves and of the
-basic-block runs the batch engine fuses at flush time.
+frame in ``SMCore`` (struct-of-arrays warps, one inlined issue path for
+every register mode) are pure performance work — every counter in
+``SimStats`` and the final global-memory image must come out exactly
+equal to the uncached seed path (dict-layout warps), which stays
+available behind ``REPRO_DECODE_CACHE=0``. These tests pin that
+equivalence across workloads, register-management modes and the
+configurations that select a different branch of the cached frame,
+plus the structural invariants of the decoded records themselves and
+of the basic-block runs the batch engine fuses at flush time.
 
 The ``ticks_executed`` / ``skipped_cycles`` engine diagnostics are
-exempt (the convention of test_cycle_skip.py / test_warp_batch.py):
-the batch engine only binds on top of the decode cache, so toggling
+exempt only where the batch engine binds (plain flags mode): it only
+binds on top of the decode cache, so there toggling
 ``REPRO_DECODE_CACHE`` also changes how far the tick loop can jump.
 """
 
@@ -37,16 +40,34 @@ from repro.workloads.suite import get_workload
 
 WORKLOADS = ("matrixmul", "blackscholes", "reduction")
 MODES = ("baseline", "flags", "redefine")
+#: The equivalence grid's engine-path inputs: ``variant -> (mode,
+#: GPUConfig overrides, simulate kwargs)``. Beyond the three register
+#: modes, each extra variant drives a different branch of the
+#: decode-cached issue frame or tick: the register file cache (with its
+#: dirty-line flush on demotion), traced flags cores (generic renaming
+#: calls, ``lifetime_events``), the least-occupied-bank ablation
+#: (generic allocation), and greedy-then-oldest scheduling (generic
+#: tick).
+VARIANTS = {
+    "baseline": ("baseline", {}, {}),
+    "flags": ("flags", {}, {}),
+    "redefine": ("redefine", {}, {}),
+    "baseline-rfc": ("baseline", dict(rfc_entries_per_warp=6), {}),
+    "flags-traced": ("flags", {}, dict(trace_warp_slots=(0, 1))),
+    "flags-unbanked": (
+        "flags", dict(bank_preserving_renaming=False), {},
+    ),
+    "baseline-gto": ("baseline", dict(scheduler_policy="gto"), {}),
+    "flags-gto": ("flags", dict(scheduler_policy="gto"), {}),
+}
+#: The only variant the cross-warp batch engine binds on; it lets the
+#: tick loop jump further, so there the ``ticks_executed`` /
+#: ``skipped_cycles`` engine diagnostics are exempt (the convention of
+#: test_cycle_skip.py / test_warp_batch.py). Everywhere else even the
+#: tick counts must match: Fig. 8 snapshots the core by tick count.
+BATCHED = frozenset({"flags"})
 QUICK = dict(scale=0.5)
 DIAGNOSTICS = frozenset({"ticks_executed", "skipped_cycles"})
-
-
-def _comparable(result) -> dict:
-    return {
-        name: value
-        for name, value in dataclasses.asdict(result.stats).items()
-        if name not in DIAGNOSTICS
-    }
 
 
 def _simulate(workload, mode, **kwargs):
@@ -69,18 +90,45 @@ def _simulate(workload, mode, **kwargs):
     )
 
 
+def _run_variant(workload, variant):
+    """One wave of ``workload`` under ``variant``: the full stats and
+    the final global-memory image."""
+    mode, overrides, kwargs = VARIANTS[variant]
+    if mode == "baseline":
+        config = GPUConfig.baseline(**overrides)
+    else:
+        config = GPUConfig.renamed(**overrides)
+    kernel, threshold = workload.kernel.clone(), 0
+    if mode == "flags":
+        compiled = compile_kernel(workload.kernel, workload.launch, config)
+        kernel, threshold = compiled.kernel, compiled.renaming_threshold
+    gpu = GPU(
+        config, kernel, workload.launch, mode=mode, threshold=threshold,
+        max_ctas_per_sm_sim=workload.table1.conc_ctas_per_sm, **kwargs,
+    )
+    result = gpu.run()
+    return dataclasses.asdict(result.stats), gpu.gmem.image()
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("name", WORKLOADS)
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", tuple(VARIANTS))
     def test_cached_path_matches_seed_path(self, name, mode, monkeypatch):
-        """Every SimStats field identical with and without the cache."""
+        """Every SimStats field and the final memory image identical
+        with and without the cache."""
         workload = get_workload(name, **QUICK)
-        cached = _simulate(workload, mode)
+        cached, cached_image = _run_variant(workload, mode)
 
         monkeypatch.setenv("REPRO_DECODE_CACHE", "0")
-        uncached = _simulate(workload, mode)
+        uncached, uncached_image = _run_variant(workload, mode)
 
-        assert _comparable(cached) == _comparable(uncached)
+        if mode in BATCHED:
+            for field in DIAGNOSTICS:
+                del cached[field], uncached[field]
+        assert cached == uncached
+        assert cached_image == uncached_image
+        if mode == "flags-traced":
+            assert cached["lifetime_events"], "trace must record events"
 
     @pytest.mark.parametrize("mode", MODES)
     def test_parallel_matches_serial(self, mode):
@@ -210,7 +258,7 @@ class TestDecodedInst:
     def test_exec_kind_classification(self, decoded):
         kernel, cache, _, _ = decoded
         from repro.sim.execute import (
-            _ALU_OPS,
+            _ALU_OPS_OUT,
             EXEC_ALU,
             EXEC_LOAD,
             EXEC_NONE,
@@ -233,9 +281,9 @@ class TestDecodedInst:
                 assert entry.exec_kind == (
                     EXEC_STORE if info.is_store else EXEC_LOAD
                 )
-            elif entry.opcode in _ALU_OPS:
+            elif entry.opcode in _ALU_OPS_OUT:
                 assert entry.exec_kind == EXEC_ALU
-                assert entry.exec_handler is _ALU_OPS[entry.opcode]
+                assert entry.exec_out is _ALU_OPS_OUT[entry.opcode]
             else:
                 assert entry.exec_kind == EXEC_NONE
         # The workload must actually exercise the dispatch classes.

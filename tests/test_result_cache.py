@@ -157,10 +157,7 @@ class TestFingerprint:
 
 
 #: Engine switches that join every simulate/service key.
-ENGINE_FLAGS = (
-    "REPRO_DECODE_CACHE", "REPRO_CYCLE_SKIP", "REPRO_VECTOR_LANES",
-    "REPRO_WARP_BATCH",
-)
+ENGINE_FLAGS = ("REPRO_DECODE_CACHE", "REPRO_CYCLE_SKIP", "REPRO_WARP_BATCH")
 
 
 class TestGoldenKeyDigests:
@@ -197,20 +194,20 @@ class TestGoldenKeyDigests:
         assert self._keys(
             "matrixmul", 0.5, GPUConfig.baseline(), "baseline"
         ) == (
-            "cba3e35d16e6658fc387c419129f61369c7d53ca36eddb5c19532ce54b154d17",
+            "ad39b8581df9fc1e96ea1e85b7016d6a09a6945d54742dd10bbdacc590a999ab",
             "8b1a14867a74513ad7caba685c00d84a261ff390d3c5c627da1c2322b911f040",
             "abf2c5c2c217ebdf53105f7b39f4d78a4577bd98b9ecb1e822358594c7b53326",
-            "108477ef0fd758f09ee92c3767f0268a9d5ae8f83392d0a0518325634df019bf",
+            "911507c6ac78646849a38da6cc05066e7399d5fa6c9a9978bc885e2cb6fd9c02",
         )
 
     def test_lud_on_shrunk(self):
         assert self._keys(
             "lud", 1.0, GPUConfig.shrunk(0.5), "flags"
         ) == (
-            "d857deec6bc6ea7e8473c335db46602f7f8745df65423eca2ed3d182c99b8450",
+            "9f53641b34753980ae908b620153d0a4548059c376bbf19fd7c7052273ca532f",
             "91104cdd8648acd8e737c28a455457ac9494b168bbbbd0f253fd366854a73c49",
             "0266d3135f41f536349b185f6ad5fcad97234d719a677b565b3b6ece3febdca0",
-            "11f93fe9ccf34154b0d7692e03287cd23398bf70535d365d2304828683878a9f",
+            "ffe30f8eb202271250ae49b8e49ccc3b9be38c57c57c6d8ca8694d4617935eff",
         )
 
     def test_compiled_kernel(self):
@@ -225,7 +222,7 @@ class TestGoldenKeyDigests:
         assert _sim_key(
             compiled, workload.launch, config, mode="flags"
         ) == (
-            "41c37786c8cbf32cabf9f898bfc0fe765306442627c25d91173515b22a9b869a"
+            "53e48fcbb54e6fc0a3fd9a938154ca2be59c02f60616d761bd6de9c273759ab2"
         )
 
 

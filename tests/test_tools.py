@@ -1,5 +1,7 @@
 """CLI tool tests (repro.tools.simulate / repro.tools.disasm)."""
 
+import os
+
 import pytest
 
 from repro.tools import disasm, simulate as simulate_tool
@@ -52,6 +54,18 @@ class TestSimulateTool:
         assert simulate_tool.main(
             ["lib", "--scheduler", "gto"] + QUICK
         ) == 0
+
+    def test_no_cycle_skip_leaves_environment_alone(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_CYCLE_SKIP", raising=False)
+        argv = ["matrixmul", "--design", "baseline"] + QUICK
+        assert simulate_tool.main(argv) == 0
+        assert "cycle skipping" in capsys.readouterr().out
+        before = dict(os.environ)
+        assert simulate_tool.main(argv + ["--no-cycle-skip"]) == 0
+        assert dict(os.environ) == before
+        assert "cycle skipping" not in capsys.readouterr().out
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):

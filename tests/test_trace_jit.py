@@ -1,14 +1,21 @@
-"""The retired trace-JIT flag stays inert.
+"""Retired engine flags stay inert.
 
-The trace-level JIT engine was deleted: the cross-warp batch engine is
-the flags-mode fast path and the per-warp vector path
-(``REPRO_WARP_BATCH=0``) its strict reference. Shells and CI configs
-may still export the old ``REPRO_TRACE_JIT`` variable, so it must
-change nothing. These tests rerun the grids and edge kernels the JIT
-was pinned on, with the stale variable set both ways on top of the
-batch engine, and require every comparable :class:`SimStats` field, the
-final global-memory image and the result-cache engine fingerprint to
-match the per-warp reference.
+Two engine switches were deleted along with the code they selected:
+
+* ``REPRO_TRACE_JIT`` — the trace-level JIT engine; the cross-warp
+  batch engine is the flags-mode fast path and the per-warp vector
+  path (``REPRO_WARP_BATCH=0``) its strict reference;
+* ``REPRO_VECTOR_LANES`` — the dict-layout decoded executor; every
+  decode-cached core now runs struct-of-arrays warps, and the
+  dict layout survives only in the uncached seed reference
+  (``REPRO_DECODE_CACHE=0``).
+
+Shells and CI configs may still export either variable, so a stale
+value must change nothing. These tests rerun the grids and edge kernels
+the retired engines were pinned on, with each stale variable set both
+ways on top of the batch engine, and require every comparable
+:class:`SimStats` field, the final global-memory image and the
+result-cache engine fingerprint to match the per-warp reference.
 """
 
 from __future__ import annotations
@@ -25,18 +32,19 @@ from tests.test_warp_batch import (
     _simulate,
 )
 
-RETIRED = "REPRO_TRACE_JIT"
+RETIRED = ("REPRO_TRACE_JIT", "REPRO_VECTOR_LANES")
 
 
 def _stale_and_reference(monkeypatch, run):
-    """``run()`` on the batch engine under the stale variable set to
-    "1" and "0", then on the per-warp reference with it unset."""
+    """``run()`` on the batch engine under each retired variable set to
+    "1" and "0", then on the per-warp reference with both unset."""
     out = {}
     monkeypatch.setenv("REPRO_WARP_BATCH", "1")
-    for stale in ("1", "0"):
-        monkeypatch.setenv(RETIRED, stale)
-        out[stale] = run()
-    monkeypatch.delenv(RETIRED)
+    for flag in RETIRED:
+        for stale in ("1", "0"):
+            monkeypatch.setenv(flag, stale)
+            out[(flag, stale)] = run()
+        monkeypatch.delenv(flag)
     monkeypatch.setenv("REPRO_WARP_BATCH", "0")
     out["reference"] = run()
     return out
@@ -58,13 +66,13 @@ class TestEquivalenceGrid:
                 lambda: _comparable(_simulate("matrixmul", "flags")),
             )
             _assert_all_match(out, f"skip={skip}")
-        # The stale variable must not split result-cache keys either.
-        keys = set()
-        for stale in ("1", "0"):
-            monkeypatch.setenv(RETIRED, stale)
-            keys.add(engine_fingerprint())
-        monkeypatch.delenv(RETIRED)
-        keys.add(engine_fingerprint())
+        # A stale variable must not split result-cache keys either.
+        keys = {engine_fingerprint()}
+        for flag in RETIRED:
+            for stale in ("1", "0"):
+                monkeypatch.setenv(flag, stale)
+                keys.add(engine_fingerprint())
+            monkeypatch.delenv(flag)
         assert len(keys) == 1
 
     def test_decode_cache_plane_is_bit_identical(self, monkeypatch):
@@ -97,7 +105,7 @@ class TestEquivalenceGrid:
 
     def test_spill_pressure_declines_and_stays_identical(self, monkeypatch):
         """Under GPU-shrink pressure the batch engine declines to bind;
-        the stale variable must still be a strict no-op, spill counts
+        a stale variable must still be a strict no-op, spill counts
         included."""
 
         def run():
@@ -106,7 +114,7 @@ class TestEquivalenceGrid:
             return _comparable(result), result.stats.spill_events
 
         out = _stale_and_reference(monkeypatch, run)
-        assert out["1"][1] > 0, "sample must actually exercise spills"
+        assert out["reference"][1] > 0, "sample must actually exercise spills"
         _assert_all_match(out, "spill")
 
 
@@ -138,7 +146,8 @@ class TestFallbackEdges:
         _assert_all_match(_stale_and_reference(monkeypatch, run), "loop")
 
     def test_loop_values(self, monkeypatch):
-        monkeypatch.setenv(RETIRED, "1")
+        for flag in RETIRED:
+            monkeypatch.setenv(flag, "0")
         _, image = _run_kernel(assemble(_LOOP_SRC).clone())
         for tid in range(1, 64):
             assert image[tid * 8] == 4 * tid, tid

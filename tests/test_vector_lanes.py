@@ -1,22 +1,24 @@
-"""Struct-of-arrays lane engine equivalence (``REPRO_VECTOR_LANES``).
+"""Struct-of-arrays lane engine equivalence.
 
-The vector engine replaces the per-register ``dict[int, ndarray]``
-warp state with one contiguous 2D register bank per warp and in-place
-masked writes; ``REPRO_VECTOR_LANES=0`` keeps the seed dict layout as
-the strict reference. The engine must be invisible: every
+Every decode-cached core keeps its warps' functional state in
+:class:`VectorWarp` — one contiguous 2D register bank per warp with
+in-place masked writes — while the uncached seed reference
+(``REPRO_DECODE_CACHE=0``) keeps the per-register ``dict[int, ndarray]``
+:class:`Warp` layout. The layout must be invisible: every
 :class:`SimStats` field except the ``ticks_executed`` /
 ``skipped_cycles`` diagnostics — and the final global-memory image —
-must come out exactly equal on both layouts, in every register mode,
-composed with either decode path and either tick engine, serial or
-parallel. These tests pin that grid, the aliasing/mask edge cases the
-in-place writes are most likely to get wrong, the
-:class:`VectorWarp` storage invariants, and the flag plumbing
-(including the result-cache fingerprint split).
+must come out exactly equal on both, in every register mode, composed
+with either tick engine, serial or parallel. These tests pin that
+grid, the aliasing/mask edge cases the in-place writes are most likely
+to get wrong, the :class:`VectorWarp` storage invariants, and which
+issue path and warp layout each core binds.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -36,12 +38,10 @@ SHRINK_FRACTION = 0.2
 #: Engine diagnostics: the only fields allowed to differ across
 #: engines (see test_cycle_skip.py).
 DIAGNOSTICS = frozenset({"ticks_executed", "skipped_cycles"})
-#: Full (vector, decode-cache, cycle-skip) engine grid.
+#: (decode-cache, cycle-skip) engine grid: decode cache on runs the
+#: struct-of-arrays layout, off the dict-layout seed reference.
 FULL_GRID = tuple(
-    (vec, cache, skip)
-    for vec in ("1", "0")
-    for cache in ("1", "0")
-    for skip in ("1", "0")
+    (cache, skip) for cache in ("1", "0") for skip in ("1", "0")
 )
 
 
@@ -77,21 +77,27 @@ def _simulate(name, mode, scale=0.5, fraction=SHRINK_FRACTION, waves=1,
     )
 
 
+def _grid(monkeypatch, run) -> dict:
+    """``run()`` in every (decode-cache, cycle-skip) grid cell."""
+    runs = {}
+    for cache, skip in FULL_GRID:
+        monkeypatch.setenv("REPRO_DECODE_CACHE", cache)
+        monkeypatch.setenv("REPRO_CYCLE_SKIP", skip)
+        runs[(cache, skip)] = run()
+    return runs
+
+
 class TestEquivalenceGrid:
-    """vector x decode-cache x cycle-skip engine grid."""
+    """struct-of-arrays vs dict layout, x cycle-skip."""
 
     def test_flags_serial_grid_is_bit_identical(self, monkeypatch):
-        """Full 2x2x2 grid on the renamed flow — the mode where the
-        vector engine binds its deeply inlined issue/tick paths."""
-        runs = {}
-        for vec, cache, skip in FULL_GRID:
-            monkeypatch.setenv("REPRO_VECTOR_LANES", vec)
-            monkeypatch.setenv("REPRO_DECODE_CACHE", cache)
-            monkeypatch.setenv("REPRO_CYCLE_SKIP", skip)
-            runs[(vec, cache, skip)] = _comparable(
-                _simulate("matrixmul", "flags")
-            )
-        reference = runs[("0", "1", "1")]
+        """Full 2x2 grid on the renamed flow, against the strict
+        per-cycle dict-layout reference."""
+        runs = _grid(
+            monkeypatch,
+            lambda: _comparable(_simulate("matrixmul", "flags")),
+        )
+        reference = runs[("0", "0")]
         for cell, stats in runs.items():
             assert stats == reference, f"grid cell {cell} diverged"
 
@@ -99,44 +105,41 @@ class TestEquivalenceGrid:
     def test_other_modes_vector_grid_is_bit_identical(
         self, mode, monkeypatch
     ):
-        runs = {}
-        for vec in ("1", "0"):
-            for cache in ("1", "0"):
-                monkeypatch.setenv("REPRO_VECTOR_LANES", vec)
-                monkeypatch.setenv("REPRO_DECODE_CACHE", cache)
-                runs[(vec, cache)] = _comparable(_simulate("matrixmul", mode))
-        reference = runs[("0", "1")]
+        runs = _grid(
+            monkeypatch,
+            lambda: _comparable(_simulate("matrixmul", mode)),
+        )
+        reference = runs[("0", "0")]
         for cell, stats in runs.items():
             assert stats == reference, f"grid cell {cell} diverged"
 
     def test_parallel_matches_serial_reference(self, monkeypatch):
         """The process-pool engine (workers re-resolve the env flag
         when rebuilding cores from CoreJob specs) must agree with the
-        serial reference cell by cell."""
-        reference = None
-        for vec in ("1", "0"):
-            monkeypatch.setenv("REPRO_VECTOR_LANES", vec)
+        serial dict-layout reference on either layout."""
+        monkeypatch.setenv("REPRO_DECODE_CACHE", "0")
+        reference = _comparable(
+            _simulate("matrixmul", "flags", sim_sms=2,
+                      max_ctas_per_sm_sim=2)
+        )
+        for cache in ("1", "0"):
+            monkeypatch.setenv("REPRO_DECODE_CACHE", cache)
             stats = _comparable(
                 _simulate("matrixmul", "flags", sim_sms=2,
                           max_ctas_per_sm_sim=2, jobs=2)
             )
-            if reference is None:
-                reference = _comparable(
-                    _simulate("matrixmul", "flags", sim_sms=2,
-                              max_ctas_per_sm_sim=2)
-                )
-            assert stats == reference, f"vector={vec} parallel diverged"
+            assert stats == reference, f"cache={cache} parallel diverged"
 
     def test_spill_path_is_bit_identical(self, monkeypatch):
         """Deep shrink with spill/fill churn: warps round-trip their
         registers through memory, the harshest test of the permanent
         row views."""
         runs = {}
-        for vec in ("1", "0"):
-            monkeypatch.setenv("REPRO_VECTOR_LANES", vec)
+        for cache in ("1", "0"):
+            monkeypatch.setenv("REPRO_DECODE_CACHE", cache)
             result = _simulate("matrixmul", "shrink", scale=1.0,
                                fraction=0.18, waves=2)
-            runs[vec] = (_comparable(result), result.stats.spill_events)
+            runs[cache] = (_comparable(result), result.stats.spill_events)
         assert runs["1"][1] > 0, "sample must actually exercise spills"
         assert runs["1"][0] == runs["0"][0]
 
@@ -215,29 +218,29 @@ class TestMaskEdgeWorkloads:
     @pytest.mark.parametrize("name", sorted(MASK_EDGE_KERNELS))
     def test_vector_matches_reference(self, name, mode, monkeypatch):
         runs, images = {}, {}
-        for vec in ("1", "0"):
-            monkeypatch.setenv("REPRO_VECTOR_LANES", vec)
+        for cache in ("1", "0"):
+            monkeypatch.setenv("REPRO_DECODE_CACHE", cache)
             result, image = _run_kernel(MASK_EDGE_KERNELS[name](), mode)
-            runs[vec] = _comparable(result)
-            images[vec] = image
+            runs[cache] = _comparable(result)
+            images[cache] = image
         assert runs["1"] == runs["0"], f"{name}/{mode} stats diverged"
         assert images["1"] == images["0"], f"{name}/{mode} memory diverged"
 
     def test_alias_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
+        monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
         _, image = _run_kernel(_alias_kernel(), "baseline")
         for tid in range(1, 32):
             assert image[tid * 8] == 8 * tid
 
     def test_guarded_setp_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
+        monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
         _, image = _run_kernel(_guarded_setp_kernel(), "baseline")
         for tid in range(1, 32):
             expected = 42 if 8 <= tid < 16 else 7
             assert image[tid * 8] == expected, tid
 
     def test_dead_store_writes_nothing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
+        monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
         _, image = _run_kernel(_dead_store_kernel(), "baseline")
         assert 99 not in image.values()
         for tid in range(1, 32):
@@ -301,50 +304,57 @@ class TestVectorWarp:
 
 
 class TestPlumbing:
-    def _core(self, policy="two_level"):
+    def _core(self, mode="flags", policy="two_level"):
         workload = get_workload("matrixmul", scale=0.5)
+        if mode == "baseline":
+            config = GPUConfig.baseline(scheduler_policy=policy)
+            return SMCore(config, workload.kernel.clone(), workload.launch,
+                          mode="baseline")
         config = GPUConfig.renamed(scheduler_policy=policy)
+        if mode == "redefine":
+            return SMCore(config, workload.kernel.clone(), workload.launch,
+                          mode="redefine")
         compiled = compile_kernel(workload.kernel, workload.launch, config)
         return SMCore(config, compiled.kernel, workload.launch,
                       mode="flags", threshold=compiled.renaming_threshold)
 
     def test_env_flag_selects_engine(self, monkeypatch):
-        # The vector paths bind only on top of the decode cache, and
-        # batching binds on top of the vector engine (test_warp_batch
-        # covers that plumbing) — pin the former on and the latter off
-        # so this tests the vector binding alone, whatever env the
-        # suite runs under.
-        monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
+        # Batching binds on top of the flags-mode vector path
+        # (test_warp_batch covers that plumbing) — pin it off so this
+        # tests the vector binding alone, whatever env the suite runs
+        # under.
         monkeypatch.setenv("REPRO_WARP_BATCH", "0")
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "0")
-        core = self._core()
-        assert core.vector_lanes is False
-        assert core._try_issue.__func__ is SMCore._try_issue
-        assert core.tick.__func__ is SMCore.tick
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
-        core = self._core()
-        assert core.vector_lanes is True
-        assert core._try_issue.__func__ is SMCore._try_issue_vector
-        assert core.tick.__func__ is SMCore._tick_vector
+        for mode in ("baseline", "flags", "redefine"):
+            monkeypatch.setenv("REPRO_DECODE_CACHE", "0")
+            core = self._core(mode)
+            assert core._try_issue.__func__ is SMCore._try_issue_uncached
+            assert core.tick.__func__ is SMCore._tick_generic
+            monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
+            core = self._core(mode)
+            assert core._try_issue.__func__ is SMCore._try_issue_vector
+            assert core.tick.__func__ is SMCore._tick_vector
 
     def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTOR_LANES", raising=False)
-        assert self._core().vector_lanes is True
+        monkeypatch.delenv("REPRO_DECODE_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_WARP_BATCH", "0")
+        for mode in ("baseline", "flags", "redefine"):
+            core = self._core(mode)
+            assert core._try_issue.__func__ is SMCore._try_issue_vector
 
     def test_gto_keeps_reference_tick(self, monkeypatch):
         """The inlined tick only covers the rotation policies; gto must
         fall back to the generic tick (but keep the vector issue)."""
         monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
         monkeypatch.setenv("REPRO_WARP_BATCH", "0")
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
-        core = self._core(policy="gto")
-        assert core._try_issue.__func__ is SMCore._try_issue_vector
-        assert core.tick.__func__ is SMCore.tick
+        for mode in ("baseline", "flags"):
+            core = self._core(mode, policy="gto")
+            assert core._try_issue.__func__ is SMCore._try_issue_vector
+            assert core.tick.__func__ is SMCore._tick_generic
 
     def test_warp_class_follows_flag(self, monkeypatch, straight_kernel):
         launch = LaunchConfig(1, 32, conc_ctas_per_sm=1)
-        for vec, cls in (("1", VectorWarp), ("0", Warp)):
-            monkeypatch.setenv("REPRO_VECTOR_LANES", vec)
+        for cache, cls in (("1", VectorWarp), ("0", Warp)):
+            monkeypatch.setenv("REPRO_DECODE_CACHE", cache)
             core = SMCore(GPUConfig.baseline(), straight_kernel.clone(),
                           launch, mode="baseline")
             core.cta_queue = [0]
@@ -356,8 +366,31 @@ class TestPlumbing:
                     assert type(warp) is cls
 
     def test_engine_fingerprint_splits_cache_key(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
+        # The decode-cache flag now picks the warp layout: the
+        # struct-of-arrays engine and the dict-layout reference must
+        # not share result-cache entries.
+        monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
         vector = engine_fingerprint()
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "0")
-        scalar = engine_fingerprint()
-        assert vector != scalar
+        monkeypatch.setenv("REPRO_DECODE_CACHE", "0")
+        reference = engine_fingerprint()
+        assert vector != reference
+
+    def test_finished_core_is_freed_with_its_last_reference(
+        self, monkeypatch
+    ):
+        """The engine bindings must not tie a core to itself: a finished
+        core (warps, register banks, memories) is freed by reference
+        counting, not held until the next cyclic garbage collection."""
+        gc.disable()
+        try:
+            for cache in ("1", "0"):
+                monkeypatch.setenv("REPRO_DECODE_CACHE", cache)
+                for mode in ("baseline", "flags", "redefine"):
+                    core = self._core(mode)
+                    core.cta_queue = [0]
+                    core.run()
+                    ref = weakref.ref(core)
+                    del core
+                    assert ref() is None, f"{mode}/cache={cache}"
+        finally:
+            gc.enable()

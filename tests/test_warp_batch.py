@@ -9,7 +9,8 @@ keeps the per-warp vector path as the strict reference. The engine
 must be invisible: every :class:`SimStats` field except the
 ``ticks_executed`` / ``skipped_cycles`` diagnostics — and the final
 global-memory image — must come out exactly equal, composed with
-either decode path, either tick engine, serial or parallel. These
+either decode path (the uncached path runs the dict-layout seed
+reference), either tick engine, serial or parallel. These
 tests pin that grid, the pooling edge cases (same-pc groups under
 diverged masks, loop back-edges re-entering pooled pcs, single-warp
 degeneration, spill pressure forcing the engine to decline), and the
@@ -34,14 +35,11 @@ from repro.workloads.suite import get_workload
 #: Engine diagnostics: the only fields allowed to differ across
 #: engines (see test_cycle_skip.py / test_vector_lanes.py).
 DIAGNOSTICS = frozenset({"ticks_executed", "skipped_cycles"})
-#: (warp-batch, vector, cycle-skip) grid; decode cache stays on — the
-#: batch engine only binds on top of the cached vector issue path, and
-#: the (batch, decode-cache) plane gets its own test below.
+#: (warp-batch, cycle-skip) grid; decode cache stays on — the batch
+#: engine only binds on top of the cached vector issue path, and the
+#: (batch, decode-cache) planes get their own tests below.
 FULL_GRID = tuple(
-    (batch, vec, skip)
-    for batch in ("1", "0")
-    for vec in ("1", "0")
-    for skip in ("1", "0")
+    (batch, skip) for batch in ("1", "0") for skip in ("1", "0")
 )
 
 
@@ -77,29 +75,30 @@ def _simulate(name, mode, scale=0.5, fraction=0.2, waves=1, **kwargs):
 
 
 class TestEquivalenceGrid:
-    """warp-batch x vector x cycle-skip (and x decode-cache) grids."""
+    """warp-batch x cycle-skip (and x decode-cache) grids."""
 
     def test_flags_serial_grid_is_bit_identical(self, monkeypatch):
         runs = {}
-        for batch, vec, skip in FULL_GRID:
+        for batch, skip in FULL_GRID:
             monkeypatch.setenv("REPRO_WARP_BATCH", batch)
-            monkeypatch.setenv("REPRO_VECTOR_LANES", vec)
             monkeypatch.setenv("REPRO_CYCLE_SKIP", skip)
-            runs[(batch, vec, skip)] = _comparable(
+            runs[(batch, skip)] = _comparable(
                 _simulate("matrixmul", "flags")
             )
-        reference = runs[("0", "1", "1")]
+        reference = runs[("0", "1")]
         for cell, stats in runs.items():
             assert stats == reference, f"grid cell {cell} diverged"
 
     def test_vector_plane_is_bit_identical(self, monkeypatch):
-        """The divergent workload on the (batch, vector) plane."""
+        """The divergent workload on the (batch, decode-cache) plane:
+        the batch engine, the per-warp vector path under it, and the
+        dict-layout seed reference."""
         runs = {}
         for batch in ("1", "0"):
-            for vec in ("1", "0"):
+            for cache in ("1", "0"):
                 monkeypatch.setenv("REPRO_WARP_BATCH", batch)
-                monkeypatch.setenv("REPRO_VECTOR_LANES", vec)
-                runs[(batch, vec)] = _comparable(
+                monkeypatch.setenv("REPRO_DECODE_CACHE", cache)
+                runs[(batch, cache)] = _comparable(
                     _simulate("blackscholes", "flags")
                 )
         reference = runs[("0", "1")]
@@ -261,11 +260,10 @@ class TestPlumbing:
                       **kwargs)
 
     def test_env_flag_selects_engine(self, monkeypatch):
-        # Pin the vector engine on: batching requires it, and this
-        # test must bind the batch paths even on the CI leg that runs
-        # the whole suite under REPRO_VECTOR_LANES=0.
+        # Pin the decode cache on: batching requires the vector issue
+        # path on top of it, and this test must bind the batch paths
+        # even on the CI leg that runs the whole suite with it off.
         monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
         monkeypatch.setenv("REPRO_WARP_BATCH", "1")
         core = self._core()
         assert core.warp_batch is True
@@ -281,20 +279,20 @@ class TestPlumbing:
 
     def test_default_is_batch(self, monkeypatch):
         monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
         monkeypatch.delenv("REPRO_WARP_BATCH", raising=False)
         assert self._core().warp_batch is True
 
     def test_declines_without_vector_engine(self, monkeypatch):
+        # No decode cache means the uncached dict-layout reference,
+        # with no vector issue path for the batch engine to sit on.
         monkeypatch.setenv("REPRO_WARP_BATCH", "1")
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "0")
+        monkeypatch.setenv("REPRO_DECODE_CACHE", "0")
         core = self._core()
         assert core._batch_bufs is None
         assert core.tick.__func__ is not SMCore._tick_batch
 
     def test_declines_when_underprovisioned(self, monkeypatch):
         monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
         monkeypatch.setenv("REPRO_WARP_BATCH", "1")
         core = self._core(config=GPUConfig.shrunk(0.2))
         assert core._batch_bufs is None
@@ -302,7 +300,6 @@ class TestPlumbing:
 
     def test_declines_with_sampling(self, monkeypatch):
         monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
-        monkeypatch.setenv("REPRO_VECTOR_LANES", "1")
         monkeypatch.setenv("REPRO_WARP_BATCH", "1")
         core = self._core(sample_interval=64)
         assert core._batch_bufs is None
