@@ -4,7 +4,10 @@ Runs the same flags-mode simulation once through the cached issue path
 and once through the seed path (``REPRO_DECODE_CACHE=0``), records both
 wall times and the speedup on the benchmark record, and asserts the
 two runs produce identical statistics — the decode cache's core
-contract. The speedup assertion itself is deliberately modest (cached
+contract. The ``ticks_executed`` / ``skipped_cycles`` engine
+diagnostics are exempt: the cross-warp batch engine binds only on the
+cached path and lets its tick loop jump further (the same exemption
+as the tier-1 equivalence grids). The speedup assertion itself is deliberately modest (cached
 must not be slower); the tracked number lives in ``extra_info`` and in
 ``BENCH_hotpath.json`` from ``python -m repro.analysis.bench``.
 """
@@ -16,6 +19,17 @@ from repro.arch import GPUConfig
 from repro.compiler import compile_kernel
 from repro.sim.gpu import simulate
 from repro.workloads import get_workload
+
+#: Engine diagnostics: the only fields allowed to differ across engines.
+DIAGNOSTICS = frozenset({"ticks_executed", "skipped_cycles"})
+
+
+def _comparable(result) -> dict:
+    return {
+        name: value
+        for name, value in dataclasses.asdict(result.stats).items()
+        if name not in DIAGNOSTICS
+    }
 
 
 def _run_flags():
@@ -47,9 +61,7 @@ def test_hotpath_speedup(benchmark, monkeypatch):
     )
 
     # The contract that makes the speedup meaningful: identical stats.
-    assert dataclasses.asdict(cached.stats) == dataclasses.asdict(
-        uncached.stats
-    )
+    assert _comparable(cached) == _comparable(uncached)
     # Keep the assertion loose against noisy CI machines; the real
     # number is tracked via extra_info / BENCH_hotpath.json.
     assert cached_time < 1.2 * uncached_time

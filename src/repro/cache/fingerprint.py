@@ -132,7 +132,6 @@ def simulate_key(
     *,
     mode: str,
     threshold: int,
-    sim_sms: int,
     max_ctas_per_sm_sim: int | None,
     sample_interval: int,
     trace_warp_slots: tuple[int, ...],
@@ -140,11 +139,7 @@ def simulate_key(
     max_cycles: int,
     cycle_skip: bool | None,
 ) -> str:
-    """Cache key for one :func:`repro.sim.gpu.simulate` call.
-
-    ``jobs`` is deliberately absent: the parallel path is bit-identical
-    to the serial one, so fan-out degree must not split the cache.
-    """
+    """Cache key for one :func:`repro.sim.gpu.simulate` call."""
     return fingerprint(
         "sim",
         engine_fingerprint(cycle_skip),
@@ -153,7 +148,6 @@ def simulate_key(
         config,
         mode,
         threshold,
-        sim_sms,
         max_ctas_per_sm_sim,
         sample_interval,
         tuple(trace_warp_slots),

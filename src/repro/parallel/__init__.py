@@ -1,8 +1,7 @@
 """Process-pool parallel execution layer.
 
-Everything in this repo that fans out — multi-SM simulations
-(:meth:`repro.sim.gpu.GPU.run` with ``jobs``), the experiment runner's
-``--jobs`` flag, and :func:`repro.analysis.runners.run_sweep` — goes
+The two sweep fan-outs in this repo — the experiment runner's
+``--jobs`` flag and :func:`repro.analysis.runners.run_sweep` — go
 through this package:
 
 * :mod:`repro.parallel.jobs` — picklable job specifications and
@@ -10,34 +9,21 @@ through this package:
 * :mod:`repro.parallel.worker` — module-level worker entry points
   (picklable by reference, importable from a fresh interpreter);
 * :mod:`repro.parallel.pool` — :func:`parallel_map`, an order-
-  preserving process-pool map with a serial fallback;
-* :mod:`repro.parallel.merge` — deterministic :class:`SimStats`
-  reduction (ascending ``sm_id``; see ``docs/INTERNALS.md``).
+  preserving process-pool map with a serial fallback.
 
 The design contract is that the parallel path is *bit-identical* to
-the serial path: both give every :class:`~repro.sim.core.SMCore` a
-private :class:`~repro.sim.memory.GlobalMemory` snapshot and reduce
-per-core results in the same documented order.
+the serial path: each job is one independent simulation or experiment,
+and results come back in input order (see ``docs/INTERNALS.md``).
 """
 
-from repro.parallel.jobs import (
-    CoreJob,
-    CoreResult,
-    ExperimentJob,
-    ExperimentOutcome,
-)
-from repro.parallel.merge import merge_core_results
+from repro.parallel.jobs import ExperimentJob, ExperimentOutcome
 from repro.parallel.pool import parallel_map, resolve_jobs
-from repro.parallel.worker import run_core_job, run_experiment_job
+from repro.parallel.worker import run_experiment_job
 
 __all__ = [
-    "CoreJob",
-    "CoreResult",
     "ExperimentJob",
     "ExperimentOutcome",
-    "merge_core_results",
     "parallel_map",
     "resolve_jobs",
-    "run_core_job",
     "run_experiment_job",
 ]

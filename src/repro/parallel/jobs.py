@@ -1,57 +1,13 @@
 """Picklable job specifications for process-pool workers.
 
-A job carries everything a worker needs to rebuild the simulation in a
-fresh process: configuration, kernel, launch shape, and — because the
-functional :class:`~repro.sim.memory.GlobalMemory` is the only state
-shared between SM cores — a snapshot *image* of the written words at
-dispatch time. Workers never share live objects; each returns a result
-whose fields are plain data (``SimStats``, dicts of ints) so the
-reduction on the parent side is deterministic.
+A job carries everything a worker needs to redo the work in a fresh
+process; workers never share live objects, and each returns a result
+of plain data so the parent's in-order collection is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # sim imports this package: keep it import-cycle-free
-    from repro.arch import GPUConfig
-    from repro.isa.kernel import Kernel
-    from repro.launch import LaunchConfig
-    from repro.sim.stats import SimStats
-
-
-@dataclass
-class CoreJob:
-    """One SM core's share of a kernel launch, ready to ship to a worker."""
-
-    sm_id: int
-    config: GPUConfig
-    kernel: Kernel
-    launch: LaunchConfig
-    mode: str
-    threshold: int
-    ctaids: tuple[int, ...]
-    sample_interval: int = 0
-    trace_warp_slots: tuple[int, ...] = ()
-    spill_enabled: bool = True
-    max_cycles: int = 50_000_000
-    #: Snapshot of the written global-memory words at dispatch time.
-    gmem_image: dict[int, int] = field(default_factory=dict)
-    #: Cycle-skipping engine selection; ``None`` defers to the
-    #: worker's ``REPRO_CYCLE_SKIP`` environment. Carried explicitly so
-    #: a parent's programmatic choice survives the process boundary.
-    cycle_skip: bool | None = None
-
-
-@dataclass
-class CoreResult:
-    """What a core worker sends back: stats plus its memory writes."""
-
-    sm_id: int
-    stats: SimStats
-    #: The worker's final global-memory contents (written words only).
-    store: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass

@@ -2,56 +2,16 @@
 
 These functions are dispatched by reference through
 :func:`repro.parallel.pool.parallel_map`; they must stay at module
-level (picklable) and import the simulation/experiment layers lazily:
-``repro.sim.gpu`` and the analysis/experiment modules all import
-``repro.parallel``, so a top-level import here would be circular.
+level (picklable) and import the experiment layer lazily: the
+analysis/experiment modules import ``repro.parallel``, so a top-level
+import here would be circular.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.parallel.jobs import (
-    CoreJob,
-    CoreResult,
-    ExperimentJob,
-    ExperimentOutcome,
-)
-
-
-def run_core_job(job: CoreJob) -> CoreResult:
-    """Simulate one SM core from a :class:`CoreJob` specification.
-
-    The worker builds a private :class:`GlobalMemory` from the job's
-    snapshot image, so cores never observe each other's stores — the
-    same isolation the serial path applies (see ``docs/INTERNALS.md``).
-
-    The per-kernel decode cache is *not* shipped across the process
-    boundary: the SMCore constructor rebuilds it from the pickled
-    kernel, one decode pass per job — cheap next to a core's run, and
-    identical derived data to what the serial cores share.
-    """
-    from repro.sim.core import SMCore
-    from repro.sim.memory import GlobalMemory
-
-    gmem = GlobalMemory()
-    gmem.restore(job.gmem_image)
-    core = SMCore(
-        job.config,
-        job.kernel,
-        job.launch,
-        mode=job.mode,
-        threshold=job.threshold,
-        gmem=gmem,
-        sample_interval=job.sample_interval,
-        trace_warp_slots=job.trace_warp_slots,
-        spill_enabled=job.spill_enabled,
-        sm_id=job.sm_id,
-        cycle_skip=job.cycle_skip,
-    )
-    core.cta_queue = list(job.ctaids)
-    stats = core.run(max_cycles=job.max_cycles)
-    return CoreResult(sm_id=job.sm_id, stats=stats, store=gmem.image())
+from repro.parallel.jobs import ExperimentJob, ExperimentOutcome
 
 
 def run_experiment_job(job: ExperimentJob) -> ExperimentOutcome:

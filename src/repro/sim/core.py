@@ -121,8 +121,6 @@ class SMCore:
         sample_interval: int = 0,
         trace_warp_slots: tuple[int, ...] = (),
         spill_enabled: bool = True,
-        sm_id: int = 0,
-        decode_cache: DecodeCache | None = None,
         cycle_skip: bool | None = None,
     ):
         if mode not in _MODES:
@@ -138,7 +136,6 @@ class SMCore:
         self.instructions = kernel.instructions
         self.launch = launch
         self.mode = mode
-        self.sm_id = sm_id
         self.stats = SimStats()
         self.gmem = gmem if gmem is not None else GlobalMemory()
         self.regfile = PhysicalRegisterFile(config, self.stats)
@@ -238,24 +235,18 @@ class SMCore:
         self._throttled_cta: int | None = None
 
         # Per-kernel decode cache (see repro.sim.decode): flat
-        # precomputed views of each static instruction, shareable across
-        # the cores of one GPU. ``REPRO_DECODE_CACHE=0`` falls back to
-        # the seed reference engine: the uncached issue path (kept
-        # verbatim as ``_try_issue_uncached``) over dict-layout
-        # :class:`Warp` state, for equivalence testing.
+        # precomputed views of each static instruction.
+        # ``REPRO_DECODE_CACHE=0`` falls back to the seed reference
+        # engine: the uncached issue path (kept verbatim as
+        # ``_try_issue_uncached``) over dict-layout :class:`Warp` state,
+        # for equivalence testing.
         self._decode_cache: DecodeCache | None = None
         self._decode: list[DecodedInst] | None = None
         env = os.environ.get("REPRO_DECODE_CACHE", "1").strip().lower()
         if env not in ("0", "off", "false"):
-            eff_threshold = threshold if mode == "flags" else 0
-            if decode_cache is not None and decode_cache.matches(
-                kernel, config.num_banks, eff_threshold, mode
-            ):
-                self._decode_cache = decode_cache
-            else:
-                self._decode_cache = build_decode_cache(
-                    kernel, config, eff_threshold, mode
-                )
+            self._decode_cache = build_decode_cache(
+                kernel, config, threshold if mode == "flags" else 0
+            )
             self._decode = self._decode_cache.entries
 
         # Pre-resolved issue and tick entry points (see the ``tick`` /
@@ -2366,7 +2357,7 @@ class SMCore:
                 return
         if not self.done():
             raise DeadlockError(
-                f"SM {self.sm_id} deadlocked at cycle {self.cycle}: "
+                f"SM deadlocked at cycle {self.cycle}: "
                 f"{len(self.resident)} CTAs resident, "
                 f"{len(self.cta_queue)} queued, free registers="
                 f"{self.regfile.free_count}"

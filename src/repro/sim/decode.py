@@ -14,11 +14,9 @@ itself.
 data: it never changes simulated behaviour, only how fast the
 decode-cached issue frame (``SMCore._try_issue_vector``, which serves
 every register mode, or the batch engine's ``_try_issue_batch`` on top
-of it) gets at the same facts. One cache is shared by
-every core running the same kernel under the same
-``(num_banks, threshold, mode)`` key (see :class:`repro.sim.gpu.GPU`);
-process-pool workers rebuild it from the pickled kernel, which costs
-one decode pass per worker instead of one per dynamic instruction.
+of it) gets at the same facts. Each :class:`~repro.sim.core.SMCore`
+builds its own, one decode pass per simulation instead of one per
+dynamic instruction.
 
 Because the cache snapshots compiler-filled fields (``target_pc``,
 ``reconv_pc``, ``release_srcs``), it must be built *after*
@@ -293,16 +291,13 @@ class BlockRun:
 
 
 class DecodeCache:
-    """One kernel's decoded instructions plus the key they match."""
+    """One kernel's decoded instructions plus their fusion runs."""
 
-    __slots__ = ("entries", "num_banks", "threshold", "mode", "runs")
+    __slots__ = ("entries", "num_banks", "runs")
 
-    def __init__(self, entries: list[DecodedInst], num_banks: int,
-                 threshold: int, mode: str):
+    def __init__(self, entries: list[DecodedInst], num_banks: int):
         self.entries = entries
         self.num_banks = num_banks
-        self.threshold = threshold
-        self.mode = mode
         # Basic-block fusion runs (batch engine tier 2): maximal
         # stretches of consecutive deferrable instructions with issue
         # plans. Entries outside any run keep ``run_id = None``. A jump
@@ -328,27 +323,13 @@ class DecodeCache:
             entry.run_pos = pos
         self.runs.append(BlockRun(start, steps, self.num_banks))
 
-    def matches(self, kernel: Kernel, num_banks: int, threshold: int,
-                mode: str) -> bool:
-        """Can this cache drive ``kernel`` under the given core setup?"""
-        return (
-            self.num_banks == num_banks
-            and self.threshold == threshold
-            and self.mode == mode
-            and len(self.entries) == len(kernel.instructions)
-            and all(
-                entry.inst is inst
-                for entry, inst in zip(self.entries, kernel.instructions)
-            )
-        )
-
     def __len__(self) -> int:
         return len(self.entries)
 
 
-def build_decode_cache(kernel: Kernel, config: GPUConfig, threshold: int,
-                       mode: str) -> DecodeCache:
-    """Decode ``kernel`` once for cores running it under ``mode``.
+def build_decode_cache(kernel: Kernel, config: GPUConfig,
+                       threshold: int) -> DecodeCache:
+    """Decode ``kernel`` once for a core running it.
 
     ``threshold`` is the *effective* renaming-exemption threshold the
     core will use (0 outside ``flags`` mode). The kernel must already be
@@ -358,4 +339,4 @@ def build_decode_cache(kernel: Kernel, config: GPUConfig, threshold: int,
         DecodedInst(inst, config.num_banks, threshold, config)
         for inst in kernel.instructions
     ]
-    return DecodeCache(entries, config.num_banks, threshold, mode)
+    return DecodeCache(entries, config.num_banks)

@@ -71,12 +71,8 @@ class GlobalMemory:
         return (addr * _HASH) & _MASK
 
     def image(self) -> dict[int, int]:
-        """Copy of the written words (snapshot for parallel workers)."""
+        """Copy of the written words."""
         return dict(self._store)
-
-    def restore(self, image: dict[int, int]) -> None:
-        """Apply a snapshot image on top of the current contents."""
-        self._store.update(image)
 
     def __len__(self) -> int:
         return len(self._store)

@@ -6,8 +6,8 @@ available behind ``REPRO_CYCLE_SKIP=0``. Every ``SimStats`` counter —
 except the two engine diagnostics ``ticks_executed`` /
 ``skipped_cycles``, which *describe* how the result was computed —
 must come out exactly equal on both paths, in every register mode
-including deep GPU-shrink, composed with either decode path, serial
-or parallel. These tests pin that 2x2 grid plus the flag plumbing.
+including deep GPU-shrink, composed with either decode path. These
+tests pin that 2x2 grid plus the flag plumbing.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pytest
 
 from repro.arch import GPUConfig
 from repro.compiler import compile_kernel
-from repro.parallel.worker import run_core_job
 from repro.sim.gpu import GPU, simulate
 from repro.workloads.suite import get_workload
 
@@ -88,26 +87,6 @@ class TestEquivalenceGrid:
         for cell, stats in runs.items():
             assert stats == reference, f"grid cell {cell} diverged"
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_parallel_grid_is_bit_identical(self, mode, monkeypatch):
-        """The process-pool engine (workers re-resolve both env flags
-        and receive the parent's explicit choice via ``CoreJob``) must
-        agree with the serial reference path cell by cell."""
-        reference = None
-        for skip, cache in GRID:
-            monkeypatch.setenv("REPRO_CYCLE_SKIP", skip)
-            monkeypatch.setenv("REPRO_DECODE_CACHE", cache)
-            stats = _comparable(
-                _simulate("matrixmul", mode, sim_sms=2,
-                          max_ctas_per_sm_sim=2, jobs=2)
-            )
-            if reference is None:
-                reference = _comparable(
-                    _simulate("matrixmul", mode, sim_sms=2,
-                              max_ctas_per_sm_sim=2)
-                )
-            assert stats == reference, f"grid cell {(skip, cache)} diverged"
-
     def test_spill_path_is_bit_identical(self, monkeypatch):
         """Deep shrink with spill/fill churn — the hardest timing path
         (spill trigger streaks must advance identically across jumps).
@@ -145,24 +124,10 @@ class TestPlumbing:
 
     def test_env_flag_selects_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_CYCLE_SKIP", "0")
-        assert self._gpu().cores[0].cycle_skip is False
+        assert self._gpu().core.cycle_skip is False
         monkeypatch.delenv("REPRO_CYCLE_SKIP")
-        assert self._gpu().cores[0].cycle_skip is True  # default on
+        assert self._gpu().core.cycle_skip is True  # default on
 
     def test_explicit_argument_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CYCLE_SKIP", "1")
-        assert self._gpu(cycle_skip=False).cores[0].cycle_skip is False
-
-    def test_core_job_carries_choice_across_process_boundary(
-        self, monkeypatch
-    ):
-        """A parent's programmatic ``cycle_skip`` must survive into the
-        worker even when the worker's environment says otherwise."""
-        gpu = self._gpu(cycle_skip=False)
-        (job,) = gpu._core_jobs(max_cycles=50_000_000,
-                                gmem_image=gpu.gmem.image())
-        assert job.cycle_skip is False
-        monkeypatch.setenv("REPRO_CYCLE_SKIP", "1")  # worker-side env
-        result = run_core_job(job)
-        assert result.stats.skipped_cycles == 0
-        assert result.stats.ticks_executed == result.stats.cycles
+        assert self._gpu(cycle_skip=False).core.cycle_skip is False

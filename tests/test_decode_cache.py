@@ -35,11 +35,10 @@ from repro.sim.decode import (
     RENAMING_TABLE_BANKS,
     build_decode_cache,
 )
-from repro.sim.gpu import GPU, simulate
+from repro.sim.gpu import GPU
 from repro.workloads.suite import get_workload
 
 WORKLOADS = ("matrixmul", "blackscholes", "reduction")
-MODES = ("baseline", "flags", "redefine")
 #: The equivalence grid's engine-path inputs: ``variant -> (mode,
 #: GPUConfig overrides, simulate kwargs)``. Beyond the three register
 #: modes, each extra variant drives a different branch of the
@@ -68,26 +67,6 @@ VARIANTS = {
 BATCHED = frozenset({"flags"})
 QUICK = dict(scale=0.5)
 DIAGNOSTICS = frozenset({"ticks_executed", "skipped_cycles"})
-
-
-def _simulate(workload, mode, **kwargs):
-    """One wave of ``workload`` under ``mode`` (compiling for flags)."""
-    opts = dict(max_ctas_per_sm_sim=workload.table1.conc_ctas_per_sm)
-    opts.update(kwargs)
-    if mode == "flags":
-        config = GPUConfig.renamed()
-        compiled = compile_kernel(workload.kernel, workload.launch, config)
-        return simulate(
-            compiled.kernel, workload.launch, config, mode="flags",
-            threshold=compiled.renaming_threshold, **opts,
-        )
-    config = (
-        GPUConfig.baseline() if mode == "baseline" else GPUConfig.renamed()
-    )
-    return simulate(
-        workload.kernel.clone(), workload.launch, config, mode=mode,
-        **opts,
-    )
 
 
 def _run_variant(workload, variant):
@@ -130,34 +109,7 @@ class TestEquivalence:
         if mode == "flags-traced":
             assert cached["lifetime_events"], "trace must record events"
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_parallel_matches_serial(self, mode):
-        """The process-pool engine (which rebuilds the cache per
-        worker) stays bit-identical to the serial cached path."""
-        workload = get_workload("matrixmul", **QUICK)
-        serial = _simulate(workload, mode, sim_sms=2,
-                           max_ctas_per_sm_sim=2)
-        parallel = _simulate(workload, mode, sim_sms=2,
-                             max_ctas_per_sm_sim=2, jobs=2)
-        assert dataclasses.asdict(serial.stats) == dataclasses.asdict(
-            parallel.stats
-        )
-
-
 class TestSharing:
-    def test_cache_shared_across_cores(self, monkeypatch):
-        # Pin the cache on: the tier-1 suite also runs with
-        # REPRO_DECODE_CACHE=0, where there is no cache to share.
-        monkeypatch.setenv("REPRO_DECODE_CACHE", "1")
-        workload = get_workload("matrixmul", **QUICK)
-        gpu = GPU(
-            GPUConfig.renamed(), workload.kernel.clone(), workload.launch,
-            mode="redefine", sim_sms=2, max_ctas_per_sm_sim=1,
-        )
-        first, second = gpu.cores
-        assert first._decode_cache is not None
-        assert first._decode_cache is second._decode_cache
-
     def test_env_flag_disables_cache(self, monkeypatch):
         monkeypatch.setenv("REPRO_DECODE_CACHE", "0")
         workload = get_workload("matrixmul", **QUICK)
@@ -165,23 +117,9 @@ class TestSharing:
             GPUConfig.renamed(), workload.kernel.clone(), workload.launch,
             mode="redefine", max_ctas_per_sm_sim=1,
         )
-        core = gpu.cores[0]
+        core = gpu.core
         assert core._decode_cache is None
         assert core._decode is None
-
-    def test_cache_rejects_mismatched_key(self):
-        workload = get_workload("matrixmul", **QUICK)
-        config = GPUConfig.renamed()
-        compiled = compile_kernel(workload.kernel, workload.launch, config)
-        cache = build_decode_cache(compiled.kernel, config, 4, "flags")
-        assert cache.matches(compiled.kernel, config.num_banks, 4, "flags")
-        assert not cache.matches(compiled.kernel, config.num_banks, 4,
-                                 "redefine")
-        assert not cache.matches(compiled.kernel, config.num_banks, 2,
-                                 "flags")
-        assert not cache.matches(workload.kernel, config.num_banks, 4,
-                                 "flags")
-
 
 class TestDecodedInst:
     """Structural invariants of the per-instruction records."""
@@ -192,8 +130,7 @@ class TestDecodedInst:
         config = GPUConfig.renamed()
         compiled = compile_kernel(workload.kernel, workload.launch, config)
         threshold = compiled.renaming_threshold
-        cache = build_decode_cache(compiled.kernel, config, threshold,
-                                   "flags")
+        cache = build_decode_cache(compiled.kernel, config, threshold)
         return compiled.kernel, cache, threshold, config
 
     def test_dedup_preserves_first_occurrence_order(self, decoded):
@@ -425,7 +362,7 @@ def test_partition_covers_every_pc_exactly_once(spec):
     config = GPUConfig.renamed()
     compiled = compile_kernel(kernel, _LAUNCH, config)
     cache = build_decode_cache(
-        compiled.kernel, config, compiled.renaming_threshold, "flags"
+        compiled.kernel, config, compiled.renaming_threshold
     )
     _partition_invariants(cache)
 
@@ -436,6 +373,6 @@ def test_partition_invariants_on_real_workloads(name):
     config = GPUConfig.renamed()
     compiled = compile_kernel(workload.kernel, workload.launch, config)
     cache = build_decode_cache(
-        compiled.kernel, config, compiled.renaming_threshold, "flags"
+        compiled.kernel, config, compiled.renaming_threshold
     )
     _partition_invariants(cache)

@@ -1,137 +1,13 @@
 """Parallel execution layer tests.
 
-The headline contract: ``GPU.run(jobs=N)`` must be *bit-identical* to
-the serial path — every ``SimStats`` counter, the float occupancy
-integral, and the ordering of ``live_samples`` / ``lifetime_events``.
+The headline contract: the sweep fan-outs (``run_sweep`` and the
+runner's ``--jobs``) return exactly what the serial path returns, in
+request order.
 """
-
-import pickle
-import random
 
 import pytest
 
-from repro.arch import GPUConfig
-from repro.compiler import compile_kernel
-from repro.launch import LaunchConfig
-from repro.parallel import (
-    CoreJob,
-    CoreResult,
-    merge_core_results,
-    parallel_map,
-    resolve_jobs,
-    run_core_job,
-)
-from repro.sim.gpu import GPU, simulate
-from repro.sim.stats import SimStats
-
-#: Enough CTAs that four simulated SMs each get a few waves.
-LAUNCH = LaunchConfig(64, 64, conc_ctas_per_sm=2)
-
-
-class TestSerialParallelEquivalence:
-    def test_baseline_bit_identical(self, loop_kernel):
-        serial = simulate(loop_kernel.clone(), LAUNCH, GPUConfig.baseline(),
-                          mode="baseline", sim_sms=4, jobs=1)
-        parallel = simulate(loop_kernel.clone(), LAUNCH,
-                            GPUConfig.baseline(), mode="baseline",
-                            sim_sms=4, jobs=4)
-        assert serial.stats == parallel.stats
-
-    def test_flags_bit_identical_with_sampling_and_tracing(
-        self, loop_kernel
-    ):
-        config = GPUConfig.renamed()
-        compiled = compile_kernel(loop_kernel, LAUNCH, config)
-        kwargs = dict(
-            mode="flags",
-            threshold=compiled.renaming_threshold,
-            sim_sms=4,
-            sample_interval=7,
-            trace_warp_slots=(0, 1),
-        )
-        serial = simulate(compiled.kernel.clone(), LAUNCH, config,
-                          jobs=1, **kwargs)
-        parallel = simulate(compiled.kernel.clone(), LAUNCH, config,
-                            jobs=3, **kwargs)
-        assert serial.stats == parallel.stats
-        # Spelled out: the sampled series keep their serial ordering.
-        assert serial.stats.live_samples == parallel.stats.live_samples
-        assert (serial.stats.lifetime_events
-                == parallel.stats.lifetime_events)
-
-    def test_redefine_bit_identical(self, diamond_kernel):
-        config = GPUConfig.renamed()
-        serial = simulate(diamond_kernel.clone(), LAUNCH, config,
-                          mode="redefine", sim_sms=3, jobs=1)
-        parallel = simulate(diamond_kernel.clone(), LAUNCH, config,
-                            mode="redefine", sim_sms=3, jobs=2)
-        assert serial.stats == parallel.stats
-
-    def test_global_memory_merges_back_identically(self, straight_kernel):
-        def final_store(jobs):
-            gpu = GPU(GPUConfig.baseline(), straight_kernel.clone(),
-                      LAUNCH, mode="baseline", sim_sms=4)
-            gpu.run(jobs=jobs)
-            return gpu.gmem.image()
-
-        serial_store = final_store(1)
-        assert serial_store  # the kernel stores results
-        assert serial_store == final_store(4)
-
-
-class TestJobSpecs:
-    def test_core_job_round_trips_through_pickle(self, straight_kernel):
-        gpu = GPU(GPUConfig.baseline(), straight_kernel, LAUNCH,
-                  mode="baseline", sim_sms=2)
-        jobs = gpu._core_jobs(max_cycles=1000, gmem_image={4: 7})
-        assert [job.sm_id for job in jobs] == [0, 1]
-        revived = pickle.loads(pickle.dumps(jobs))
-        assert revived[0].ctaids == jobs[0].ctaids
-        assert revived[1].gmem_image == {4: 7}
-
-    def test_run_core_job_matches_in_process_core(self, straight_kernel):
-        gpu = GPU(GPUConfig.baseline(), straight_kernel.clone(), LAUNCH,
-                  mode="baseline", sim_sms=2)
-        job = gpu._core_jobs(max_cycles=50_000, gmem_image={})[1]
-        worker_result = run_core_job(pickle.loads(pickle.dumps(job)))
-        in_process = gpu.run(jobs=1)
-        assert worker_result.sm_id == 1
-        assert worker_result.stats.cycles <= in_process.stats.cycles
-        assert worker_result.stats.ctas_completed > 0
-
-
-class TestMerge:
-    @staticmethod
-    def _result(sm_id, cycles, instructions, samples=()):
-        stats = SimStats(cycles=cycles, instructions=instructions)
-        stats.live_samples = list(samples)
-        return CoreResult(sm_id=sm_id, stats=stats,
-                          store={sm_id: sm_id * 10})
-
-    def test_reduction_order_is_sm_id_not_arrival(self):
-        results = [
-            self._result(2, cycles=30, instructions=5),
-            self._result(0, cycles=10, instructions=3,
-                         samples=[(0, 1, 2)]),
-            self._result(1, cycles=20, instructions=4),
-        ]
-        merged_sorted, store_sorted = merge_core_results(results)
-        shuffled = list(results)
-        random.Random(7).shuffle(shuffled)
-        merged_shuffled, store_shuffled = merge_core_results(shuffled)
-        assert merged_sorted == merged_shuffled
-        assert store_sorted == store_shuffled
-        assert merged_sorted.cycles == 30  # max over cores
-        assert merged_sorted.instructions == 12  # sum over cores
-        assert merged_sorted.live_samples == [(0, 1, 2)]  # lowest sm_id
-
-    def test_samples_come_from_lowest_recording_sm(self):
-        results = [
-            self._result(1, 5, 1, samples=[(0, 9, 9)]),
-            self._result(0, 5, 1),
-        ]
-        merged, _ = merge_core_results(results)
-        assert merged.live_samples == [(0, 9, 9)]
+from repro.parallel import parallel_map, resolve_jobs
 
 
 class TestPool:

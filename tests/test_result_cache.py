@@ -4,9 +4,8 @@ The load-bearing guarantee is *bit identity*: a warm cache hit must be
 indistinguishable — every SimStats field, every payload byte — from
 re-running the simulation, under every engine-flag combination. The
 grid tests below pin that across ``REPRO_DECODE_CACHE`` x
-``REPRO_CYCLE_SKIP``, serially and with ``sim_sms``/``jobs`` fan-out,
-and the invalidation tests pin the other direction: any input that can
-change the answer must change the key.
+``REPRO_CYCLE_SKIP``, and the invalidation tests pin the other
+direction: any input that can change the answer must change the key.
 """
 
 from __future__ import annotations
@@ -50,9 +49,8 @@ ENGINE_GRID = [
 
 def _sim_key(kernel, launch, config, **overrides):
     kwargs = dict(
-        mode="baseline", threshold=0, sim_sms=1,
-        max_ctas_per_sm_sim=None, sample_interval=0,
-        trace_warp_slots=(), spill_enabled=True,
+        mode="baseline", threshold=0, max_ctas_per_sm_sim=None,
+        sample_interval=0, trace_warp_slots=(), spill_enabled=True,
         max_cycles=50_000_000, cycle_skip=None,
     )
     kwargs.update(overrides)
@@ -165,7 +163,8 @@ class TestGoldenKeyDigests:
 
     A key change silently orphans every existing disk cache, so any
     refactor of the fingerprint path must leave these digests alone;
-    an intended key change (a schema bump) re-records them.
+    an intended key change (a schema bump, or an argument leaving the
+    key) re-records them.
     """
 
     @pytest.fixture(autouse=True)
@@ -194,7 +193,7 @@ class TestGoldenKeyDigests:
         assert self._keys(
             "matrixmul", 0.5, GPUConfig.baseline(), "baseline"
         ) == (
-            "ad39b8581df9fc1e96ea1e85b7016d6a09a6945d54742dd10bbdacc590a999ab",
+            "6ab2489bb129db5db7cbef22686d58781e4c9c5e75c073ba8495347793d7ddce",
             "8b1a14867a74513ad7caba685c00d84a261ff390d3c5c627da1c2322b911f040",
             "abf2c5c2c217ebdf53105f7b39f4d78a4577bd98b9ecb1e822358594c7b53326",
             "911507c6ac78646849a38da6cc05066e7399d5fa6c9a9978bc885e2cb6fd9c02",
@@ -204,7 +203,7 @@ class TestGoldenKeyDigests:
         assert self._keys(
             "lud", 1.0, GPUConfig.shrunk(0.5), "flags"
         ) == (
-            "9f53641b34753980ae908b620153d0a4548059c376bbf19fd7c7052273ca532f",
+            "dedff215c2fed354b6abf9de4aee0a8f3f0bc38d6435f3acd2351f10ff344819",
             "91104cdd8648acd8e737c28a455457ac9494b168bbbbd0f253fd366854a73c49",
             "0266d3135f41f536349b185f6ad5fcad97234d719a677b565b3b6ece3febdca0",
             "ffe30f8eb202271250ae49b8e49ccc3b9be38c57c57c6d8ca8694d4617935eff",
@@ -222,7 +221,7 @@ class TestGoldenKeyDigests:
         assert _sim_key(
             compiled, workload.launch, config, mode="flags"
         ) == (
-            "53e48fcbb54e6fc0a3fd9a938154ca2be59c02f60616d761bd6de9c273759ab2"
+            "b051f1c933308f77c7d4718d9f4eaa6232aff1065f72cc28adc42bbc3e16e8eb"
         )
 
 
@@ -322,23 +321,6 @@ class TestCachedSimulate:
             barrier_kernel, small_launch, config, cache=ResultCache()
         )
         assert cached.stats == raw.stats
-
-    def test_multi_sm_parallel_hits_same_entry(
-        self, loop_kernel, small_launch
-    ):
-        cache = ResultCache()
-        serial = cached_simulate(
-            loop_kernel, small_launch, GPUConfig.baseline(),
-            sim_sms=2, jobs=1, cache=cache,
-        )
-        fanned = cached_simulate(
-            loop_kernel, small_launch, GPUConfig.baseline(),
-            sim_sms=2, jobs=2, cache=cache,
-        )
-        # jobs is not in the key: the second call is a pure hit.
-        assert cache.counters.misses == 1
-        assert cache.counters.hits == 1
-        assert fanned.stats == serial.stats
 
     def test_config_change_misses(self, straight_kernel, small_launch):
         cache = ResultCache()

@@ -13,8 +13,9 @@ The serving contract under test:
 * failures propagate to every coalesced waiter as error responses and
   never poison the key or leak a pin;
 * the daemon survives injected faults: a worker killed mid-request
-  fails only that request, and an over-limit request line gets an
-  error response on a connection that keeps serving;
+  fails only that request, a request asking for multi-SM fan-out and
+  an over-limit request line both get error responses, and the daemon
+  keeps serving;
 * the memoized request key equals the key of the rebuilt spec, so a
   daemon restarted on a warm disk cache answers from it.
 """
@@ -452,6 +453,38 @@ class TestFaults:
                 )
                 assert again["ok"] is True
                 assert again["served"] == "executed"
+                assert daemon.metrics.errors == 1
+                assert daemon.metrics.executed == 1
+            finally:
+                if daemon._executor is not None:
+                    daemon._executor.shutdown(wait=True)
+
+        asyncio.run(scenario())
+
+    def test_fanout_kwargs_get_an_error_response(self):
+        """The simulator drives one SM in one process: a request asking
+        for multi-SM fan-out fails cleanly inside the pool worker
+        instead of spawning processes there, and the daemon keeps
+        serving."""
+        async def scenario():
+            daemon = SimulationDaemon(cache=ResultCache(), jobs=1)
+            try:
+                response = await daemon.handle_request(
+                    protocol.spec_to_request(
+                        _spec(sim_sms=2, jobs=2), id=5
+                    )
+                )
+                assert response["ok"] is False
+                assert response["id"] == 5
+                assert "unexpected keyword argument" in response["error"]
+                assert not daemon._inflight
+                assert not daemon.cache.pinned()
+
+                plain = await daemon.handle_request(
+                    protocol.spec_to_request(_spec())
+                )
+                assert plain["ok"] is True
+                assert plain["served"] == "executed"
                 assert daemon.metrics.errors == 1
                 assert daemon.metrics.executed == 1
             finally:

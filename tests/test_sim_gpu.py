@@ -1,9 +1,6 @@
-"""GPU driver tests: grid distribution, multi-SM merge."""
-
-import pytest
+"""GPU driver tests: SM 0's grid share, wave cap, result fields."""
 
 from repro.arch import GPUConfig
-from repro.errors import SimulationError
 from repro.launch import LaunchConfig
 from repro.sim.gpu import GPU, simulate
 
@@ -13,7 +10,7 @@ def test_round_robin_cta_distribution(straight_kernel):
     gpu = GPU(GPUConfig.baseline(), straight_kernel, launch,
               mode="baseline")
     # 40 CTAs over 16 SMs: SM 0 gets ctaids 0, 16, 32.
-    assert gpu.cores[0].cta_queue == [0, 16, 32]
+    assert gpu.core.cta_queue == [0, 16, 32]
     assert gpu.ctas_simulated == 3
 
 
@@ -21,25 +18,8 @@ def test_wave_cap_limits_ctas(straight_kernel):
     launch = LaunchConfig(64, 32, conc_ctas_per_sm=2)
     gpu = GPU(GPUConfig.baseline(), straight_kernel, launch,
               mode="baseline", max_ctas_per_sm_sim=2)
-    assert len(gpu.cores[0].cta_queue) == 2
-
-
-def test_multi_sm_merges_stats(straight_kernel):
-    launch = LaunchConfig(32, 32, conc_ctas_per_sm=2)
-    single = GPU(GPUConfig.baseline(), straight_kernel.clone(), launch,
-                 mode="baseline", sim_sms=1).run()
-    double = GPU(GPUConfig.baseline(), straight_kernel.clone(), launch,
-                 mode="baseline", sim_sms=2).run()
-    assert double.stats.ctas_completed == 2 * single.stats.ctas_completed
-    assert double.stats.instructions == 2 * single.stats.instructions
-
-
-def test_invalid_sim_sms_rejected(straight_kernel):
-    launch = LaunchConfig(4, 32)
-    with pytest.raises(SimulationError):
-        GPU(GPUConfig.baseline(), straight_kernel, launch, sim_sms=0)
-    with pytest.raises(SimulationError):
-        GPU(GPUConfig.baseline(), straight_kernel, launch, sim_sms=17)
+    assert gpu.core.cta_queue == [0, 16]
+    assert gpu.ctas_simulated == 2
 
 
 def test_result_fields(straight_kernel):
@@ -51,9 +31,10 @@ def test_result_fields(straight_kernel):
     assert result.launch is launch
 
 
-def test_shared_global_memory_across_sms(barrier_kernel):
+def test_stores_land_in_gpu_global_memory(barrier_kernel):
     launch = LaunchConfig(32, 64, conc_ctas_per_sm=1)
     gpu = GPU(GPUConfig.baseline(), barrier_kernel, launch,
-              mode="baseline", sim_sms=2)
+              mode="baseline")
+    assert gpu.core.gmem is gpu.gmem
     gpu.run()
     assert len(gpu.gmem) > 0

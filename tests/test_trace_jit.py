@@ -56,7 +56,7 @@ def _assert_all_match(out, what):
 
 
 class TestEquivalenceGrid:
-    """stale flag x cycle-skip (and x decode-cache, parallel, spill)."""
+    """stale flag x cycle-skip (and x decode-cache, spill)."""
 
     def test_flags_serial_grid_is_bit_identical(self, monkeypatch):
         for skip in ("1", "0"):
@@ -83,25 +83,6 @@ class TestEquivalenceGrid:
                 lambda: _comparable(_simulate("reduction", "flags")),
             )
             _assert_all_match(out, f"decode-cache={cache}")
-
-    def test_parallel_matches_serial_reference(self, monkeypatch):
-        """Process-pool workers re-read the environment when they
-        rebuild cores; every parallel run must match the serial
-        per-warp reference."""
-        monkeypatch.setenv("REPRO_WARP_BATCH", "0")
-        serial = _comparable(
-            _simulate("matrixmul", "flags", sim_sms=2,
-                      max_ctas_per_sm_sim=2)
-        )
-        out = _stale_and_reference(
-            monkeypatch,
-            lambda: _comparable(
-                _simulate("matrixmul", "flags", sim_sms=2,
-                          max_ctas_per_sm_sim=2, jobs=2)
-            ),
-        )
-        for cell, stats in out.items():
-            assert stats == serial, f"{cell} parallel diverged"
 
     def test_spill_pressure_declines_and_stays_identical(self, monkeypatch):
         """Under GPU-shrink pressure the batch engine declines to bind;

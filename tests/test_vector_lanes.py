@@ -8,10 +8,10 @@ in-place masked writes — while the uncached seed reference
 :class:`SimStats` field except the ``ticks_executed`` /
 ``skipped_cycles`` diagnostics — and the final global-memory image —
 must come out exactly equal on both, in every register mode, composed
-with either tick engine, serial or parallel. These tests pin that
-grid, the aliasing/mask edge cases the in-place writes are most likely
-to get wrong, the :class:`VectorWarp` storage invariants, and which
-issue path and warp layout each core binds.
+with either tick engine. These tests pin that grid, the aliasing/mask
+edge cases the in-place writes are most likely to get wrong, the
+:class:`VectorWarp` storage invariants, and which issue path and warp
+layout each core binds.
 """
 
 from __future__ import annotations
@@ -113,23 +113,6 @@ class TestEquivalenceGrid:
         for cell, stats in runs.items():
             assert stats == reference, f"grid cell {cell} diverged"
 
-    def test_parallel_matches_serial_reference(self, monkeypatch):
-        """The process-pool engine (workers re-resolve the env flag
-        when rebuilding cores from CoreJob specs) must agree with the
-        serial dict-layout reference on either layout."""
-        monkeypatch.setenv("REPRO_DECODE_CACHE", "0")
-        reference = _comparable(
-            _simulate("matrixmul", "flags", sim_sms=2,
-                      max_ctas_per_sm_sim=2)
-        )
-        for cache in ("1", "0"):
-            monkeypatch.setenv("REPRO_DECODE_CACHE", cache)
-            stats = _comparable(
-                _simulate("matrixmul", "flags", sim_sms=2,
-                          max_ctas_per_sm_sim=2, jobs=2)
-            )
-            assert stats == reference, f"cache={cache} parallel diverged"
-
     def test_spill_path_is_bit_identical(self, monkeypatch):
         """Deep shrink with spill/fill churn: warps round-trip their
         registers through memory, the harshest test of the permanent
@@ -203,10 +186,9 @@ def _run_kernel(kernel, mode):
         config = GPUConfig.renamed()
         compiled = compile_kernel(kernel, launch, config)
         gpu = GPU(config, compiled.kernel, launch, mode="flags",
-                  threshold=compiled.renaming_threshold, sim_sms=1)
+                  threshold=compiled.renaming_threshold)
     else:
-        gpu = GPU(GPUConfig.baseline(), kernel, launch, mode="baseline",
-                  sim_sms=1)
+        gpu = GPU(GPUConfig.baseline(), kernel, launch, mode="baseline")
     result = gpu.run()
     return result, gpu.gmem.image()
 

@@ -10,11 +10,11 @@ must be invisible: every :class:`SimStats` field except the
 ``ticks_executed`` / ``skipped_cycles`` diagnostics — and the final
 global-memory image — must come out exactly equal, composed with
 either decode path (the uncached path runs the dict-layout seed
-reference), either tick engine, serial or parallel. These
-tests pin that grid, the pooling edge cases (same-pc groups under
-diverged masks, loop back-edges re-entering pooled pcs, single-warp
-degeneration, spill pressure forcing the engine to decline), and the
-flag plumbing including the result-cache fingerprint split.
+reference) and either tick engine. These tests pin that grid, the
+pooling edge cases (same-pc groups under diverged masks, loop
+back-edges re-entering pooled pcs, single-warp degeneration, spill
+pressure forcing the engine to decline), and the flag plumbing
+including the result-cache fingerprint split.
 """
 
 from __future__ import annotations
@@ -128,24 +128,6 @@ class TestEquivalenceGrid:
         for cell, stats in runs.items():
             assert stats == reference, f"grid cell {cell} diverged"
 
-    def test_parallel_matches_serial_reference(self, monkeypatch):
-        """Process-pool workers re-resolve the env flag when rebuilding
-        cores from CoreJob specs; every cell must agree with the serial
-        batch=0 reference."""
-        reference = None
-        for batch in ("1", "0"):
-            monkeypatch.setenv("REPRO_WARP_BATCH", batch)
-            stats = _comparable(
-                _simulate("matrixmul", "flags", sim_sms=2,
-                          max_ctas_per_sm_sim=2, jobs=2)
-            )
-            if reference is None:
-                reference = _comparable(
-                    _simulate("matrixmul", "flags", sim_sms=2,
-                              max_ctas_per_sm_sim=2)
-                )
-            assert stats == reference, f"batch={batch} parallel diverged"
-
     def test_spill_pressure_declines_and_stays_identical(self, monkeypatch):
         """Under GPU-shrink pressure the engine must *decline to bind*
         (spills/fills would break its static plans) and the flag must
@@ -201,7 +183,7 @@ def _run_kernel(kernel, threads_per_cta=64, grid_ctas=2):
     config = GPUConfig.renamed()
     compiled = compile_kernel(kernel, launch, config)
     gpu = GPU(config, compiled.kernel, launch, mode="flags",
-              threshold=compiled.renaming_threshold, sim_sms=1)
+              threshold=compiled.renaming_threshold)
     result = gpu.run()
     return result, gpu.gmem.image()
 
