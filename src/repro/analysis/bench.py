@@ -12,9 +12,9 @@ against a mode's throughput.
 The ``shrink`` mode runs its own sample (throttle-heavy and
 latency-bound workloads at a deep shrink fraction) twice: once with
 the cycle-skipping engine (the default) and once on the strict
-per-cycle path (``cycle_skip=False``, the engine PR 2 shipped). Both
-throughputs are recorded, so ``speedup`` — the machine-independent
-ratio between them — tracks whether the skip engine keeps paying off.
+per-cycle path (``cycle_skip=False``). Both throughputs are
+recorded, so ``speedup`` — the machine-independent ratio between them
+— tracks whether the skip engine keeps paying off.
 The ``flags`` mode is likewise timed twice: under the default engine
 stack (cross-warp batching over the struct-of-arrays issue path) and
 under the per-warp vector path (``REPRO_WARP_BATCH=0``);
@@ -39,29 +39,11 @@ prints a per-mode delta table against an older result file; adding
 
 ``--repeat N`` times every cell N times and keeps the *best* wall
 time — the standard defense against scheduler noise on shared runners
-(counters are deterministic, so only the timing varies). Since v6 the
+(counters are deterministic, so only the timing varies). The
 individual samples are kept too: every record carries
 ``wall_samples`` / ``wall_stddev`` / ``wall_min`` / ``wall_median``,
 so a speedup gate reading the file can tell a real regression from a
 noisy draw instead of guessing from a single best-of-N number.
-
-``--pipeline`` additionally benchmarks the result-cache + sweep-planner
-pipeline end to end: a fixed experiment sample is run twice against a
-fresh temporary cache directory — cold (every simulation executes) and
-warm (every simulation replays from disk) — and the wall-clock pair,
-the plan's dedup ratio and a cold-vs-warm output identity check land
-in the ``pipeline`` section of the result file. The mode matrix above
-deliberately calls the raw ``simulate`` so its numbers always measure
-real work; the pipeline section is where caching is measured.
-
-``--service`` benchmarks the simulation daemon
-(:mod:`repro.service`): a fresh daemon is spawned on a temporary
-socket and N concurrent clients replay a zipf-distributed request mix
-against it (:mod:`repro.service.loadgen`); the ``service`` section
-records the served wall clock against the no-cache sequential
-baseline, the single-flight dedupe factor, and the response
-verification result (every served payload must match a direct run per
-``SimStats`` field).
 """
 
 from __future__ import annotations
@@ -72,7 +54,6 @@ import os
 import pathlib
 import statistics
 import sys
-import tempfile
 import time
 
 from repro.arch import GPUConfig
@@ -81,35 +62,18 @@ from repro.sim.gpu import simulate
 from repro.workloads.suite import Workload, get_workload
 
 #: Schema tag embedded in every result file; bump on layout changes.
-#: v2 adds the ``shrink`` mode, per-record ``ticks_executed`` /
-#: ``skipped_cycles`` / ``skipped_fraction``, and the shrink mode's
-#: ``*_noskip`` / ``speedup`` fields. v3 switches ``--repeat`` to
-#: best-of-N wall timing and adds the optional ``pipeline`` section
-#: (cold/warm result-cache wall clock + sweep-planner dedup ratio).
-#: v4 times the flags mode under both register-state engines (the
-#: since-retired dict-layout decoded engine) and adds its ``*_scalar`` /
-#: ``vector_speedup`` fields. v5 additionally times the flags mode
-#: with cross-warp batching off (``REPRO_WARP_BATCH=0``) and adds the
-#: ``wall_seconds_nobatch`` / ``cycles_per_second_batch`` /
-#: ``batch_speedup`` fields. v6 keeps the per-run wall samples
-#: (``wall_samples`` plus ``wall_stddev`` / ``wall_min`` /
-#: ``wall_median`` on every record), times the flags mode with the
-#: trace-compiled closure engine off (retired in v8), and times
-#: compilation with the result cache bypassed so ``compile_seconds``
-#: can never be a memo lookup. v7 adds the optional ``service`` section
-#: (``--service``): the simulation daemon under zipf-distributed
-#: concurrent load — served wall clock vs. the no-cache sequential
-#: baseline, single-flight dedupe factors, and the count of responses
-#: that failed bit-identity verification against direct runs. v8
-#: deletes the closure engine and its four v6 flags-mode fields (off
-#: wall, samples, alias throughput, speedup) and its gate floor;
-#: older reference files still gate, and their extra fields are
-#: ignored. v9 deletes the dict-layout decoded engine and its v4
-#: flags-mode fields (``wall_seconds_scalar``,
-#: ``cycles_per_second_scalar``, ``vector_speedup``,
-#: ``wall_samples_scalar``) and gate floor; older reference files still
-#: gate the same way.
-SCHEMA = "repro-bench-hotpath/9"
+#: A v10 file carries the run settings, the ``modes`` matrix and the
+#: ``total``. Every mode record (and each of its per-workload records)
+#: holds the best-of-N wall time, the simulated work, the skip-engine
+#: breakdown and the raw per-run wall samples with their stddev, min
+#: and median. The ``shrink`` mode adds its per-cycle-path timing
+#: (``*_noskip``) and ``speedup``; the ``flags`` mode adds its
+#: per-warp timing (``wall_seconds_nobatch``),
+#: ``cycles_per_second_batch`` and ``batch_speedup``. Compilation is
+#: timed cold, per workload, as ``compile_seconds``. References of any
+#: other schema are refused by :func:`compare_bench` and
+#: :func:`gate_bench`: re-record them.
+SCHEMA = "repro-bench-hotpath/10"
 
 #: The fixed sample: small/medium kernels spanning ALU-heavy
 #: (matrixmul), divergent (blackscholes) and barrier-heavy (reduction)
@@ -149,35 +113,6 @@ GATE_SPEEDUP_FLOOR = 1.5
 #: not a claimed win.
 GATE_BATCH_SPEEDUP_FLOOR = 0.70
 
-#: Experiment sample for the pipeline benchmark: fig10 and fig14 share
-#: their all-workload virtualized runs (high dedup), fig11b and the
-#: scheduler study add distinct-config sweeps (no dedup), so the ratio
-#: reflects a realistic mix.
-PIPELINE_EXPERIMENTS = ("fig10", "fig14", "fig11b", "schedulers")
-
-#: Minimum warm-over-cold pipeline speedup the gate accepts. The
-#: committed full run measures well above the issue's 5x acceptance
-#: bar; the floor is set below it so small --quick runs (where python
-#: startup-ish fixed costs dilute the ratio) stay green while a broken
-#: cache (warm ~= cold) still fails loudly.
-GATE_PIPELINE_FLOOR = 3.0
-
-#: Minimum single-flight dedupe factor ((executed + coalesced) /
-#: executed) the service gate accepts. The load mix packs duplicate
-#: requests into the same dispatch wave (a flash crowd), so coalescing
-#: is deterministic, not a race: the committed full run measures
-#: ~3.3x and the CI quick mix ~2.6x. Below 2.0x the daemon is
-#: executing duplicates it should have coalesced.
-GATE_SERVICE_DEDUPE_FLOOR = 2.0
-
-#: Minimum served-throughput speedup (no-cache sequential baseline
-#: over served wall clock) the service gate accepts. The committed
-#: full run measures above the issue's 5x acceptance bar; the floor
-#: sits below it so small --quick runs (fixed per-request overhead,
-#: smaller kernels) stay green while a daemon that stopped caching or
-#: coalescing still fails loudly.
-GATE_SERVICE_SPEEDUP_FLOOR = 3.0
-
 
 def _wave_cap(workload: Workload, waves: int) -> int:
     return waves * workload.table1.conc_ctas_per_sm
@@ -198,15 +133,15 @@ def _timed(run, repeats: int) -> tuple[float, list[float]]:
     return min(samples), samples
 
 
-def _sample_fields(samples: list[float], suffix: str = "") -> dict:
-    """The v6 per-run variance fields for one timed quantity."""
+def _sample_fields(samples: list[float]) -> dict:
+    """The per-run variance fields for one timed quantity."""
     return {
-        f"wall_samples{suffix}": samples,
-        f"wall_stddev{suffix}": (
+        "wall_samples": samples,
+        "wall_stddev": (
             statistics.stdev(samples) if len(samples) > 1 else 0.0
         ),
-        f"wall_min{suffix}": min(samples),
-        f"wall_median{suffix}": statistics.median(samples),
+        "wall_min": min(samples),
+        "wall_median": statistics.median(samples),
     }
 
 
@@ -294,33 +229,21 @@ def _bench_mode(
 
     results = []
     wall, samples = _timed(lambda: results.append(run()), repeats)
-    result = results[-1]
-    cycles = result.stats.cycles
-    instructions = result.stats.instructions
-    ticks = result.stats.ticks_executed
-    skipped = result.stats.skipped_cycles
+    stats = results[-1].stats
     record = {
         "wall_seconds": wall,
         "compile_seconds": compile_seconds,
-        "cycles": cycles,
-        "instructions": instructions,
-        "cycles_per_second": cycles / wall if wall > 0 else 0.0,
-        "ticks_executed": ticks,
-        "skipped_cycles": skipped,
-        "skipped_fraction": skipped / cycles if cycles > 0 else 0.0,
+        "cycles": stats.cycles,
+        "instructions": stats.instructions,
+        "ticks_executed": stats.ticks_executed,
+        "skipped_cycles": stats.skipped_cycles,
         "runs": repeats,
     }
     record.update(_sample_fields(samples))
     if mode == "shrink":
-        wall_noskip, samples_noskip = _timed(
-            lambda: run(cycle_skip=False), repeats
+        record["wall_seconds_noskip"], record["wall_samples_noskip"] = (
+            _timed(lambda: run(cycle_skip=False), repeats)
         )
-        record["wall_seconds_noskip"] = wall_noskip
-        record["cycles_per_second_noskip"] = (
-            cycles / wall_noskip if wall_noskip > 0 else 0.0
-        )
-        record["speedup"] = wall_noskip / wall if wall > 0 else 0.0
-        record["wall_samples_noskip"] = samples_noskip
     if mode == "flags":
         # The flags flow is where the batch engine binds; time the
         # per-warp reference too so the ratio is measured within one
@@ -328,16 +251,39 @@ def _bench_mode(
         # (cross-warp batching over the vector issue path), so
         # ``cycles_per_second_batch`` is its explicit alias and the
         # speedup divides the reference wall by it.
-        wall_nobatch, samples_nobatch = _time_engine_off(
-            run, repeats, "REPRO_WARP_BATCH"
+        record["wall_seconds_nobatch"], record["wall_samples_nobatch"] = (
+            _time_engine_off(run, repeats, "REPRO_WARP_BATCH")
         )
-        record["wall_seconds_nobatch"] = wall_nobatch
+    return _derive_rates(record, mode)
+
+
+def _derive_rates(record: dict, mode: str) -> dict:
+    """Fill ``record``'s throughputs and ratios from its walls and
+    counters (shared by the per-workload and per-mode records)."""
+    wall, cycles = record["wall_seconds"], record["cycles"]
+    record["cycles_per_second"] = cycles / wall if wall > 0 else 0.0
+    record["skipped_fraction"] = (
+        record["skipped_cycles"] / cycles if cycles > 0 else 0.0
+    )
+    if mode == "shrink":
+        noskip = record["wall_seconds_noskip"]
+        record["cycles_per_second_noskip"] = (
+            cycles / noskip if noskip > 0 else 0.0
+        )
+        record["speedup"] = noskip / wall if wall > 0 else 0.0
+    if mode == "flags":
         record["cycles_per_second_batch"] = record["cycles_per_second"]
         record["batch_speedup"] = (
-            wall_nobatch / wall if wall > 0 else 0.0
+            record["wall_seconds_nobatch"] / wall if wall > 0 else 0.0
         )
-        record["wall_samples_nobatch"] = samples_nobatch
     return record
+
+
+#: Per-workload record fields a mode summary sums.
+_SUMMED_FIELDS = (
+    "wall_seconds", "wall_seconds_noskip", "wall_seconds_nobatch",
+    "cycles", "instructions", "ticks_executed", "skipped_cycles",
+)
 
 
 def run_benchmark(
@@ -360,58 +306,28 @@ def run_benchmark(
     samples["shrink"] = shrink_built
     modes: dict[str, dict] = {}
     for mode in MODES:
-        wall = 0.0
-        wall_noskip = 0.0
-        wall_nobatch = 0.0
-        cycles = 0
-        instructions = 0
-        ticks = 0
-        skipped = 0
-        per_workload = {}
+        per_workload = {
+            workload.name: _bench_mode(workload, mode, waves, repeats)
+            for workload in samples[mode]
+        }
+        records = list(per_workload.values())
+        summary = {
+            field: sum(record[field] for record in records)
+            for field in _SUMMED_FIELDS
+            if field in records[0]
+        }
+        summary["runs"] = repeats
+        summary["workloads"] = per_workload
         # Per-run samples aggregate element-wise: sample i of the mode
         # summary is the sum of every workload's sample i (each run
         # index is one full pass over the sample, so the sums are the
         # per-pass mode walls the stddev of which is the noise floor).
-        mode_samples = [0.0] * repeats
-        for workload in samples[mode]:
-            record = _bench_mode(workload, mode, waves, repeats)
-            per_workload[workload.name] = record
-            wall += record["wall_seconds"]
-            wall_noskip += record.get("wall_seconds_noskip", 0.0)
-            wall_nobatch += record.get("wall_seconds_nobatch", 0.0)
-            cycles += record["cycles"]
-            instructions += record["instructions"]
-            ticks += record["ticks_executed"]
-            skipped += record["skipped_cycles"]
-            for i, sample in enumerate(record["wall_samples"]):
-                mode_samples[i] += sample
-        summary = {
-            "wall_seconds": wall,
-            "cycles": cycles,
-            "instructions": instructions,
-            "cycles_per_second": cycles / wall if wall > 0 else 0.0,
-            "ticks_executed": ticks,
-            "skipped_cycles": skipped,
-            "skipped_fraction": skipped / cycles if cycles > 0 else 0.0,
-            "runs": repeats,
-            "workloads": per_workload,
-        }
-        summary.update(_sample_fields(mode_samples))
-        if mode == "shrink":
-            summary["wall_seconds_noskip"] = wall_noskip
-            summary["cycles_per_second_noskip"] = (
-                cycles / wall_noskip if wall_noskip > 0 else 0.0
+        summary.update(_sample_fields([
+            sum(walls) for walls in zip(
+                *(record["wall_samples"] for record in records)
             )
-            summary["speedup"] = wall_noskip / wall if wall > 0 else 0.0
-        if mode == "flags":
-            summary["wall_seconds_nobatch"] = wall_nobatch
-            summary["cycles_per_second_batch"] = summary[
-                "cycles_per_second"
-            ]
-            summary["batch_speedup"] = (
-                wall_nobatch / wall if wall > 0 else 0.0
-            )
-        modes[mode] = summary
+        ]))
+        modes[mode] = _derive_rates(summary, mode)
     total_wall = sum(m["wall_seconds"] for m in modes.values())
     return {
         "schema": SCHEMA,
@@ -429,68 +345,7 @@ def run_benchmark(
     }
 
 
-def run_pipeline_bench(
-    experiments: tuple[str, ...] = PIPELINE_EXPERIMENTS,
-    jobs: int = 1,
-    quick: bool = False,
-) -> dict:
-    """Benchmark the result-cache + sweep-planner pipeline end to end.
-
-    Runs the experiment sample twice against a fresh temporary cache
-    directory: a cold pass (empty disk, every unique simulation
-    executes) and a warm pass (fresh process-level memory tier, same
-    disk directory — every simulation replays from disk). Each pass
-    does exactly what the experiment runner does: collect the plan,
-    execute the unique specs, replay the experiments. Returns the
-    ``pipeline`` record: both wall clocks, their ratio, the planner's
-    dedup ratio, and whether the two passes rendered byte-identical
-    experiment output.
-    """
-    from repro.cache import ResultCache, swap_cache
-    from repro.experiments.planner import collect_plan, execute_plan
-    from repro.parallel import ExperimentJob, run_experiment_job
-
-    options: dict[str, object] = (
-        {"scale": 0.5, "waves": 1} if quick else {}
-    )
-    names = list(experiments)
-
-    def one_pass(directory: str) -> tuple[float, object, str]:
-        previous = swap_cache(ResultCache(directory=directory))
-        try:
-            started = time.perf_counter()
-            plan = collect_plan(names, options)
-            execute_plan(plan, jobs=jobs)
-            rendered = "\n".join(
-                run_experiment_job(
-                    ExperimentJob(name, options)
-                ).result.render()
-                for name in names
-            )
-            return time.perf_counter() - started, plan, rendered
-        finally:
-            swap_cache(previous)
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
-        cold_seconds, plan, cold_out = one_pass(tmp)
-        warm_seconds, _, warm_out = one_pass(tmp)
-    return {
-        "experiments": names,
-        "jobs": jobs,
-        "declared_flows": len(plan.declared),
-        "unique_flows": len(plan.unique),
-        "dedup_ratio": plan.dedup_ratio,
-        "cold_seconds": cold_seconds,
-        "warm_seconds": warm_seconds,
-        "speedup": (
-            cold_seconds / warm_seconds if warm_seconds > 0 else 0.0
-        ),
-        "identical": cold_out == warm_out,
-    }
-
-
-#: (path, type) pairs every mode record must contain (v6: per-run
-#: variance fields join the headline best-of-N wall time).
+#: (path, type) pairs every mode record must contain.
 _REQUIRED_MODE_FIELDS = (
     ("wall_seconds", (int, float)),
     ("cycles", int),
@@ -506,51 +361,19 @@ _REQUIRED_MODE_FIELDS = (
     ("wall_median", (int, float)),
 )
 
-#: Extra fields the shrink mode must carry.
-_REQUIRED_SHRINK_FIELDS = (
-    ("wall_seconds_noskip", (int, float)),
-    ("cycles_per_second_noskip", (int, float)),
-    ("speedup", (int, float)),
-)
-
-#: Extra fields the flags mode must carry (v5: the per-warp no-batch
-#: reference is timed too).
-_REQUIRED_FLAGS_FIELDS = (
-    ("wall_seconds_nobatch", (int, float)),
-    ("cycles_per_second_batch", (int, float)),
-    ("batch_speedup", (int, float)),
-)
-
-#: Fields the optional ``pipeline`` section must carry when present.
-_REQUIRED_PIPELINE_FIELDS = (
-    ("experiments", list),
-    ("declared_flows", int),
-    ("unique_flows", int),
-    ("dedup_ratio", (int, float)),
-    ("cold_seconds", (int, float)),
-    ("warm_seconds", (int, float)),
-    ("speedup", (int, float)),
-    ("identical", bool),
-)
-
-#: Fields the optional ``service`` section (v7) must carry when
-#: present.
-_REQUIRED_SERVICE_FIELDS = (
-    ("clients", int),
-    ("requests", int),
-    ("unique_flows", int),
-    ("zipf_s", (int, float)),
-    ("wall_seconds", (int, float)),
-    ("requests_per_second", (int, float)),
-    ("baseline_seconds", (int, float)),
-    ("throughput_speedup", (int, float)),
-    ("executed", int),
-    ("coalesced", int),
-    ("cache_hit_requests", int),
-    ("single_flight_dedupe", (int, float)),
-    ("request_dedupe", (int, float)),
-    ("mismatches", int),
-)
+#: Extra fields the shrink and flags modes must carry.
+_REQUIRED_EXTRA_FIELDS = {
+    "shrink": (
+        ("wall_seconds_noskip", (int, float)),
+        ("cycles_per_second_noskip", (int, float)),
+        ("speedup", (int, float)),
+    ),
+    "flags": (
+        ("wall_seconds_nobatch", (int, float)),
+        ("cycles_per_second_batch", (int, float)),
+        ("batch_speedup", (int, float)),
+    ),
+}
 
 
 def validate_bench(data: object) -> list[str]:
@@ -572,11 +395,9 @@ def validate_bench(data: object) -> list[str]:
         if not isinstance(record, dict):
             errors.append(f"modes.{mode}: missing or non-object")
             continue
-        required = _REQUIRED_MODE_FIELDS
-        if mode == "shrink":
-            required = required + _REQUIRED_SHRINK_FIELDS
-        if mode == "flags":
-            required = required + _REQUIRED_FLAGS_FIELDS
+        required = _REQUIRED_MODE_FIELDS + _REQUIRED_EXTRA_FIELDS.get(
+            mode, ()
+        )
         for field, types in required:
             value = record.get(field)
             if not isinstance(value, types) or isinstance(value, bool):
@@ -611,7 +432,7 @@ def validate_bench(data: object) -> list[str]:
                     )
                 # flags/shrink compile real kernels; a zero compile
                 # time means the timing pass was answered from a memo
-                # (the bug v6 fixes) rather than doing real work.
+                # rather than doing real work.
                 if mode in ("flags", "shrink"):
                     cseconds = wrec.get("compile_seconds")
                     if (
@@ -632,47 +453,6 @@ def validate_bench(data: object) -> list[str]:
         errors.append("missing or non-list 'workloads'")
     if not isinstance(data.get("shrink_workloads"), list):
         errors.append("missing or non-list 'shrink_workloads'")
-    pipeline = data.get("pipeline")
-    if pipeline is not None:
-        if not isinstance(pipeline, dict):
-            errors.append("'pipeline' must be an object when present")
-        else:
-            for field, types in _REQUIRED_PIPELINE_FIELDS:
-                value = pipeline.get(field)
-                if not isinstance(value, types) or (
-                    isinstance(value, bool) and types is not bool
-                ):
-                    errors.append(
-                        f"pipeline.{field}: expected "
-                        f"{types if isinstance(types, type) else 'number'},"
-                        f" got {value!r}"
-                    )
-    service = data.get("service")
-    if service is not None:
-        if not isinstance(service, dict):
-            errors.append("'service' must be an object when present")
-        else:
-            for field, types in _REQUIRED_SERVICE_FIELDS:
-                value = service.get(field)
-                if not isinstance(value, types) or isinstance(value, bool):
-                    errors.append(
-                        f"service.{field}: expected "
-                        f"{types if isinstance(types, type) else 'number'},"
-                        f" got {value!r}"
-                    )
-            executed = service.get("executed")
-            coalesced = service.get("coalesced")
-            hits = service.get("cache_hit_requests")
-            requests = service.get("requests")
-            if all(isinstance(v, int) for v in
-                   (executed, coalesced, hits, requests)):
-                if executed + coalesced + hits != requests:
-                    errors.append(
-                        "service: executed + coalesced + "
-                        "cache_hit_requests "
-                        f"({executed} + {coalesced} + {hits}) != "
-                        f"requests ({requests})"
-                    )
     return errors
 
 
@@ -688,6 +468,16 @@ def _normalized(data: dict, mode: str) -> float | None:
     return cps / base
 
 
+def _foreign_schema(old: dict) -> str | None:
+    """The re-record message for a reference of another schema."""
+    if old.get("schema") == SCHEMA:
+        return None
+    return (
+        f"reference schema {old.get('schema')!r} is not {SCHEMA!r}; "
+        "re-record it with python -m repro.analysis.bench"
+    )
+
+
 def compare_bench(old: dict, new: dict) -> str:
     """Per-mode delta table between two result files.
 
@@ -695,8 +485,12 @@ def compare_bench(old: dict, new: dict) -> str:
     both files come from the same machine and settings) alongside the
     *normalized* deltas — each mode's throughput relative to the same
     file's baseline mode — which survive machine changes and are what
-    ``--gate`` acts on.
+    ``--gate`` acts on. A reference of another schema yields only its
+    re-record message.
     """
+    foreign = _foreign_schema(old)
+    if foreign:
+        return f"compare: {foreign}"
     lines = [
         f"{'mode':<10} {'old c/s':>12} {'new c/s':>12} {'Δ%':>7} "
         f"{'old norm':>9} {'new norm':>9} {'Δnorm%':>7}",
@@ -721,41 +515,20 @@ def compare_bench(old: dict, new: dict) -> str:
             f"{mode:<10} {ocps:>12,.0f} {ncps:>12,.0f} {delta:>+6.1f}% "
             + norm_cols
         )
-    old_speed = old.get("modes", {}).get("shrink", {}).get("speedup")
-    new_speed = new.get("modes", {}).get("shrink", {}).get("speedup")
-    fmt = lambda v: f"{v:.2f}x" if v is not None else "-"  # noqa: E731
-    if old_speed is not None or new_speed is not None:
-        lines.append(
-            f"shrink speedup (skip on vs per-cycle): "
-            f"old {fmt(old_speed)}  new {fmt(new_speed)}"
-        )
-    old_bat = old.get("modes", {}).get("flags", {}).get("batch_speedup")
-    new_bat = new.get("modes", {}).get("flags", {}).get("batch_speedup")
-    if old_bat is not None or new_bat is not None:
-        lines.append(
-            f"flags batch-engine speedup (cross-warp vs per-warp): "
-            f"old {fmt(old_bat)}  new {fmt(new_bat)}"
-        )
-    old_pipe = (old.get("pipeline") or {}).get("speedup")
-    new_pipe = (new.get("pipeline") or {}).get("speedup")
-    if old_pipe is not None or new_pipe is not None:
-        lines.append(
-            f"pipeline warm-cache speedup: "
-            f"old {fmt(old_pipe)}  new {fmt(new_pipe)}"
-        )
-    old_svc = old.get("service") or {}
-    new_svc = new.get("service") or {}
-    if old_svc or new_svc:
-        lines.append(
-            f"service single-flight dedupe: "
-            f"old {fmt(old_svc.get('single_flight_dedupe'))}  "
-            f"new {fmt(new_svc.get('single_flight_dedupe'))}"
-        )
-        lines.append(
-            f"service throughput vs no-cache baseline: "
-            f"old {fmt(old_svc.get('throughput_speedup'))}  "
-            f"new {fmt(new_svc.get('throughput_speedup'))}"
-        )
+    def ratio(data: dict, mode: str, field: str) -> str:
+        value = data.get("modes", {}).get(mode, {}).get(field)
+        return f"{value:.2f}x" if value is not None else "-"
+
+    lines.append(
+        "shrink speedup (skip on vs per-cycle): "
+        f"old {ratio(old, 'shrink', 'speedup')}  "
+        f"new {ratio(new, 'shrink', 'speedup')}"
+    )
+    lines.append(
+        "flags batch-engine speedup (cross-warp vs per-warp): "
+        f"old {ratio(old, 'flags', 'batch_speedup')}  "
+        f"new {ratio(new, 'flags', 'batch_speedup')}"
+    )
     return "\n".join(lines)
 
 
@@ -764,7 +537,7 @@ def gate_bench(old: dict, new: dict, pct: float) -> list[str]:
 
     Raw ``cycles_per_second`` is machine-dependent, so comparing a CI
     runner's fresh numbers against a committed file's absolute values
-    would gate on hardware, not code. Instead the gate checks two
+    would gate on hardware, not code. Instead the gate checks
     machine-independent quantities:
 
     * each mode's **normalized** throughput (its ``cycles_per_second``
@@ -777,11 +550,17 @@ def gate_bench(old: dict, new: dict, pct: float) -> list[str]:
       a wall-clock ratio measured within the *same* run) must stay
       above :data:`GATE_SPEEDUP_FLOOR` — this catches the skip engine
       silently degenerating into the per-cycle path, which
-      normalization alone would only partially see.
+      normalization alone would only partially see; the flags mode's
+      within-run ``batch_speedup`` must stay above
+      :data:`GATE_BATCH_SPEEDUP_FLOOR`.
 
     A uniform slowdown across every mode is invisible to this gate by
-    design: on a shared CI runner that is noise, not signal.
+    design: on a shared CI runner that is noise, not signal. A
+    reference of another schema fails with one re-record error.
     """
+    foreign = _foreign_schema(old)
+    if foreign:
+        return [f"gate: {foreign}"]
     errors: list[str] = []
     for mode in MODES:
         onorm = _normalized(old, mode)
@@ -797,80 +576,19 @@ def gate_bench(old: dict, new: dict, pct: float) -> list[str]:
                 f"(> {pct * 100:.0f}% allowed): "
                 f"{onorm:.3f} -> {nnorm:.3f}"
             )
-    speedup = new.get("modes", {}).get("shrink", {}).get("speedup")
-    if speedup is None:
-        errors.append("gate: new results lack shrink speedup")
-    elif speedup < GATE_SPEEDUP_FLOOR:
-        errors.append(
-            f"gate: shrink cycle-skip speedup {speedup:.2f}x below "
-            f"floor {GATE_SPEEDUP_FLOOR:.1f}x"
-        )
-    # The batch engine must not regress against its own in-run
-    # per-warp reference (gated only once the reference file carries
-    # the v5 fields, so pre-v5 files keep gating cleanly).
-    # The floor is a non-regression bound, not a win claim — see
-    # GATE_BATCH_SPEEDUP_FLOOR.
-    if "batch_speedup" in old.get("modes", {}).get("flags", {}):
-        batch = new.get("modes", {}).get("flags", {}).get("batch_speedup")
-        if batch is None:
-            errors.append("gate: new results lack flags batch_speedup")
-        elif batch < GATE_BATCH_SPEEDUP_FLOOR:
+    for mode, field, floor, label in (
+        ("shrink", "speedup", GATE_SPEEDUP_FLOOR,
+         "shrink cycle-skip speedup"),
+        ("flags", "batch_speedup", GATE_BATCH_SPEEDUP_FLOOR,
+         "flags batch-engine speedup"),
+    ):
+        value = new.get("modes", {}).get(mode, {}).get(field)
+        if value is None:
+            errors.append(f"gate: new results lack {mode} {field}")
+        elif value < floor:
             errors.append(
-                f"gate: flags batch-engine speedup {batch:.2f}x below "
-                f"floor {GATE_BATCH_SPEEDUP_FLOOR:.2f}x"
+                f"gate: {label} {value:.2f}x below floor {floor:.2f}x"
             )
-    # The pipeline section is gated only when the reference file has
-    # one (older files predate it; plain --quick runs omit it).
-    if old.get("pipeline") is not None:
-        pipeline = new.get("pipeline")
-        if pipeline is None:
-            errors.append(
-                "gate: reference has a pipeline section but the new "
-                "results lack one (run with --pipeline)"
-            )
-        else:
-            pipe_speedup = pipeline.get("speedup") or 0.0
-            if pipe_speedup < GATE_PIPELINE_FLOOR:
-                errors.append(
-                    f"gate: warm-cache pipeline speedup "
-                    f"{pipe_speedup:.2f}x below floor "
-                    f"{GATE_PIPELINE_FLOOR:.1f}x"
-                )
-            if pipeline.get("identical") is not True:
-                errors.append(
-                    "gate: warm pipeline pass output differs from the "
-                    "cold pass (cached results are not bit-identical)"
-                )
-    # The service section is gated only when the reference file has one
-    # (pre-v7 files gate cleanly without it).
-    if old.get("service") is not None:
-        service = new.get("service")
-        if service is None:
-            errors.append(
-                "gate: reference has a service section but the new "
-                "results lack one (run with --service)"
-            )
-        else:
-            dedupe = service.get("single_flight_dedupe") or 0.0
-            if dedupe < GATE_SERVICE_DEDUPE_FLOOR:
-                errors.append(
-                    f"gate: service single-flight dedupe "
-                    f"{dedupe:.2f}x below floor "
-                    f"{GATE_SERVICE_DEDUPE_FLOOR:.1f}x"
-                )
-            speedup = service.get("throughput_speedup") or 0.0
-            if speedup < GATE_SERVICE_SPEEDUP_FLOOR:
-                errors.append(
-                    f"gate: service throughput {speedup:.2f}x the "
-                    f"no-cache baseline, below floor "
-                    f"{GATE_SERVICE_SPEEDUP_FLOOR:.1f}x"
-                )
-            if service.get("mismatches") != 0:
-                errors.append(
-                    f"gate: {service.get('mismatches')} served "
-                    "response(s) differ from direct runs (must be "
-                    "bit-identical per SimStats field)"
-                )
     return errors
 
 
@@ -907,31 +625,6 @@ def _report(data: dict) -> str:
         f"{flags['runs']} runs)"
     )
     lines.append(f"total wall: {data['total']['wall_seconds']:.2f}s")
-    pipeline = data.get("pipeline")
-    if pipeline is not None:
-        lines.append(
-            f"pipeline ({', '.join(pipeline['experiments'])}): "
-            f"{pipeline['declared_flows']} flows -> "
-            f"{pipeline['unique_flows']} unique "
-            f"(dedup {pipeline['dedup_ratio']:.1f}x); "
-            f"cold {pipeline['cold_seconds']:.2f}s, "
-            f"warm {pipeline['warm_seconds']:.2f}s "
-            f"({pipeline['speedup']:.1f}x), output identical: "
-            f"{'yes' if pipeline['identical'] else 'NO'}"
-        )
-    service = data.get("service")
-    if service is not None:
-        lines.append(
-            f"service ({service['clients']} clients, "
-            f"{service['requests']} requests / "
-            f"{service['unique_flows']} unique flows, "
-            f"zipf s={service['zipf_s']}): "
-            f"served {service['wall_seconds']:.2f}s vs no-cache "
-            f"baseline {service['baseline_seconds']:.2f}s "
-            f"({service['throughput_speedup']:.1f}x); single-flight "
-            f"dedupe {service['single_flight_dedupe']:.2f}x, "
-            f"{service['mismatches']} mismatches"
-        )
     return "\n".join(lines)
 
 
@@ -966,16 +659,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="time every (workload, mode) cell N times and keep the "
         "best wall time (default 1)",
-    )
-    parser.add_argument(
-        "--pipeline", action="store_true",
-        help="also benchmark the result-cache pipeline (cold vs warm "
-        "run of a fixed experiment sample) into the 'pipeline' section",
-    )
-    parser.add_argument(
-        "--service", action="store_true",
-        help="also benchmark the simulation daemon under concurrent "
-        "zipf load (spawns a fresh daemon) into the 'service' section",
     )
     parser.add_argument(
         "--out", default="BENCH_hotpath.json", metavar="PATH",
@@ -1032,12 +715,6 @@ def main(argv: list[str] | None = None) -> int:
         repeats=args.repeat,
         quick=args.quick,
     )
-    if args.pipeline:
-        data["pipeline"] = run_pipeline_bench(quick=args.quick)
-    if args.service:
-        from repro.service.loadgen import run_service_bench
-
-        data["service"] = run_service_bench(quick=args.quick)
     print(_report(data))
     out = pathlib.Path(args.out)
     out.write_text(json.dumps(data, indent=2) + "\n")

@@ -28,6 +28,7 @@ fanned back to every requesting position.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 from repro.parallel import parallel_map
@@ -160,6 +161,42 @@ _FLOW_DEFAULTS = {
     "virtualized": lambda: {"config": GPUConfig.renamed(), "waves": 2},
     "hardware_only": lambda: {"config": GPUConfig.renamed(), "waves": 2},
     "compiler_spill": lambda: {"shrunk_bytes": 64 * 1024, "waves": 2},
+}
+
+#: Arguments a flow fills itself (or takes positionally), so a spec
+#: may not pass them as keywords.
+_SET_BY_FLOW = frozenset({
+    "workload", "kernel", "launch", "mode", "threshold",
+    "max_ctas_per_sm_sim", "simulate_fn", "cache",
+})
+
+
+def _keywords(*chain, positional: tuple[str, ...] = ()) -> frozenset:
+    """Keyword names a flow accepts: the named parameters of the flow
+    and of every callable it forwards ``**kwargs`` to, minus those the
+    flow fills itself."""
+    names = {
+        name
+        for fn in chain
+        for name, param in inspect.signature(fn).parameters.items()
+        if param.kind is not param.VAR_KEYWORD
+    }
+    return frozenset(names - _SET_BY_FLOW - set(positional))
+
+
+#: Per-flow accepted keyword names, checked at the service's protocol
+#: boundary. The spill flow hands ``config`` positionally to the
+#: simulator, so it takes ``base_config`` instead.
+FLOW_KWARGS = {
+    "baseline": _keywords(run_baseline, cached_simulate),
+    "virtualized": _keywords(run_virtualized, cached_simulate),
+    "hardware_only": _keywords(
+        run_hardware_only_baseline, run_hardware_only, cached_simulate
+    ),
+    "compiler_spill": _keywords(
+        run_compiler_spill_baseline, run_compiler_spill, cached_simulate,
+        positional=("config",),
+    ),
 }
 
 

@@ -6,9 +6,10 @@ bit-identical results — the only difference is that a repeated call
 with content-identical inputs is answered from the
 :class:`~repro.cache.store.ResultCache` instead of re-simulating.
 
-The benchmark harness (:mod:`repro.analysis.bench`) deliberately calls
-the raw ``simulate``/``compile_kernel`` so its timings always measure
-real work.
+The hot-path benchmark (:mod:`repro.analysis.bench`) deliberately
+calls the raw ``simulate``/``compile_kernel`` so its timings always
+measure real work; the repo benchmark (``perfbench/``) measures the
+cache itself through its warm sweep and daemon workloads.
 """
 
 from __future__ import annotations

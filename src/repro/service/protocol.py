@@ -136,11 +136,11 @@ def spec_to_request(spec: tuple, id: object = None) -> dict:
 def request_to_spec(request: dict) -> tuple:
     """Rebuild the ``(flow, workload, kwargs)`` spec from a request.
 
-    Raises :class:`ProtocolError` on unknown flows/workloads or
-    undecodable kwargs, so a bad request becomes an error response
-    instead of a daemon crash.
+    Raises :class:`ProtocolError` on unknown flows/workloads, kwarg
+    names the flow does not accept, or undecodable kwargs, so a bad
+    request becomes an error response instead of a daemon crash.
     """
-    from repro.analysis.runners import FLOWS
+    from repro.analysis.runners import FLOW_KWARGS, FLOWS
     from repro.errors import ConfigError
     from repro.workloads.suite import get_workload
 
@@ -165,6 +165,12 @@ def request_to_spec(request: dict) -> tuple:
     raw_kwargs = request.get("kwargs") or {}
     if not isinstance(raw_kwargs, dict):
         raise ProtocolError(f"kwargs must be an object, got {raw_kwargs!r}")
+    unknown = sorted(set(raw_kwargs) - FLOW_KWARGS[flow])
+    if unknown:
+        raise ProtocolError(
+            f"unknown kwargs field(s) {unknown} for flow {flow!r}; "
+            f"accepted: {', '.join(sorted(FLOW_KWARGS[flow]))}"
+        )
     kwargs = {name: _decode_value(v) for name, v in raw_kwargs.items()}
     return (flow, workload, kwargs)
 

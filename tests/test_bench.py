@@ -9,40 +9,18 @@ import pytest
 from repro.analysis.bench import (
     DEFAULT_WORKLOADS,
     GATE_BATCH_SPEEDUP_FLOOR,
-    GATE_PIPELINE_FLOOR,
-    GATE_SERVICE_DEDUPE_FLOOR,
-    GATE_SERVICE_SPEEDUP_FLOOR,
     GATE_SPEEDUP_FLOOR,
     MODES,
     SCHEMA,
     SHRINK_WORKLOADS,
+    _REQUIRED_EXTRA_FIELDS,
+    _REQUIRED_MODE_FIELDS,
     compare_bench,
     gate_bench,
     main,
     run_benchmark,
-    run_pipeline_bench,
     validate_bench,
 )
-
-#: The flags-mode fields v6 and v7 result files carry for the trace
-#: compiler engine that v8 deleted. The engine's tag is assembled from
-#: its letters so no other line in the tree names the deleted engine.
-_RETIRED_TAG = "".join(("j", "i", "t"))
-RETIRED_V8_FIELDS = (
-    f"wall_seconds_no{_RETIRED_TAG}",
-    f"cycles_per_second_{_RETIRED_TAG}",
-    f"{_RETIRED_TAG}_speedup",
-    f"wall_samples_no{_RETIRED_TAG}",
-)
-#: The flags-mode fields v4 to v8 result files carry for the
-#: dict-layout decoded engine that v9 deleted.
-RETIRED_V9_FIELDS = (
-    "wall_seconds_scalar",
-    "cycles_per_second_scalar",
-    "vector_speedup",
-    "wall_samples_scalar",
-)
-RETIRED_FLAGS_FIELDS = RETIRED_V8_FIELDS + RETIRED_V9_FIELDS
 
 #: One tiny workload keeps the CLI round-trips fast.
 TINY = [
@@ -85,16 +63,19 @@ class TestRunBenchmark:
         assert shrink["wall_seconds_noskip"] > 0
         assert shrink["cycles_per_second_noskip"] > 0
         assert shrink["speedup"] > 0
-        # The flags mode times the per-warp no-batch reference (v5).
+        # The flags mode times the per-warp no-batch reference.
         flags = data["modes"]["flags"]
         assert flags["wall_seconds_nobatch"] > 0
         assert flags["cycles_per_second_batch"] == flags[
             "cycles_per_second"
         ]
         assert flags["batch_speedup"] > 0
-        # v8 and v9 retired the fields of the deleted engines.
-        assert not set(RETIRED_FLAGS_FIELDS) & set(flags)
-        # v6 variance fields on every record, mode and workload alike.
+        # The flags summary carries exactly the schema's fields.
+        assert set(flags) == {"workloads"} | {
+            field for field, _ in _REQUIRED_MODE_FIELDS
+            + _REQUIRED_EXTRA_FIELDS["flags"]
+        }
+        # Variance fields on every record, mode and workload alike.
         for mode in MODES:
             record = data["modes"][mode]
             assert len(record["wall_samples"]) == record["runs"]
@@ -167,7 +148,7 @@ class TestValidate:
         )
 
     def test_rejects_memoized_compile_timing(self):
-        # compile_seconds == 0.0 is the signature of the pre-v6 bug:
+        # compile_seconds == 0.0 is the signature of a memoized compile:
         # the timing pass was answered from the result-cache memo.
         data = self._valid()
         data["modes"]["flags"]["workloads"]["vectoradd"][
@@ -221,40 +202,6 @@ def _synthetic_result(
     }
 
 
-def _synthetic_pipeline(speedup=8.0, identical=True):
-    return {
-        "experiments": ["fig10"], "jobs": 1,
-        "declared_flows": 10, "unique_flows": 6,
-        "dedup_ratio": 10 / 6,
-        "cold_seconds": speedup, "warm_seconds": 1.0,
-        "speedup": speedup, "identical": identical,
-    }
-
-
-def _synthetic_service(dedupe=3.0, speedup=6.0, mismatches=0):
-    """A well-formed v7 ``service`` section (no daemon needed)."""
-    executed = 20
-    coalesced = int(executed * (dedupe - 1.0))
-    requests = 60
-    return {
-        "clients": 8,
-        "requests": requests,
-        "unique_flows": 20,
-        "zipf_s": 1.1,
-        "wall_seconds": 1.0,
-        "requests_per_second": float(requests),
-        "baseline_seconds": speedup,
-        "throughput_speedup": speedup,
-        "executed": executed,
-        "coalesced": coalesced,
-        "cache_hit_requests": requests - executed - coalesced,
-        "single_flight_dedupe": dedupe,
-        "request_dedupe": requests / executed,
-        "verified": True,
-        "mismatches": mismatches,
-    }
-
-
 class TestRepeat:
     def test_best_of_n_keeps_single_run_counters(self):
         once = run_benchmark(
@@ -272,7 +219,7 @@ class TestRepeat:
                 == once["modes"][mode]["cycles"]
             )
             assert twice["modes"][mode]["runs"] == 2
-            # v6: both raw samples survive, and the headline wall is
+            # Both raw samples survive, and the headline wall is
             # their minimum.
             samples = twice["modes"][mode]["wall_samples"]
             assert len(samples) == 2
@@ -284,31 +231,6 @@ class TestRepeat:
         data = json.loads(out.read_text())
         assert data["modes"]["baseline"]["runs"] == 2
         assert validate_bench(data) == []
-
-
-class TestPipelineBench:
-    def test_cold_warm_round_trip(self):
-        record = run_pipeline_bench(
-            experiments=("schedulers",), quick=True
-        )
-        assert record["identical"] is True
-        assert record["unique_flows"] > 0
-        assert record["declared_flows"] >= record["unique_flows"]
-        assert record["cold_seconds"] > record["warm_seconds"] > 0
-        data = _tiny_benchmark()
-        data["pipeline"] = record
-        assert validate_bench(data) == []
-
-    def test_validate_accepts_missing_pipeline(self):
-        assert validate_bench(_tiny_benchmark()) == []
-
-    def test_validate_rejects_corrupt_pipeline(self):
-        data = _tiny_benchmark()
-        data["pipeline"] = _synthetic_pipeline()
-        data["pipeline"]["speedup"] = "fast"
-        assert any(
-            "pipeline.speedup" in e for e in validate_bench(data)
-        )
 
 
 class TestCompareAndGate:
@@ -347,17 +269,6 @@ class TestCompareAndGate:
         errors = gate_bench(old, new, pct=0.30)
         assert any("speedup" in e for e in errors)
 
-    def test_gate_skips_vector_check_for_pre_v4_reference(self):
-        # A pre-v4 reference has no vector-engine fields; a run that
-        # still carries a stale vector_speedup far below the retired
-        # floor must gate clean against it.
-        old = _synthetic_result()
-        old["schema"] = "repro-bench-hotpath/3"
-        assert not set(RETIRED_V9_FIELDS) & set(old["modes"]["flags"])
-        new = _synthetic_result()
-        new["modes"]["flags"]["vector_speedup"] = 0.5
-        assert gate_bench(old, new, pct=0.30) == []
-
     def test_gate_fails_when_batch_engine_regresses(self):
         old = _synthetic_result()
         new = _synthetic_result(
@@ -366,148 +277,18 @@ class TestCompareAndGate:
         errors = gate_bench(old, new, pct=0.30)
         assert any("batch-engine" in e for e in errors)
 
-    def test_gate_skips_batch_check_for_pre_v5_reference(self):
-        old = _synthetic_result()
-        del old["modes"]["flags"]["batch_speedup"]
-        new = _synthetic_result(batch_speedup=0.5)
-        assert gate_bench(old, new, pct=0.30) == []
-
-    def test_gate_accepts_v7_reference_with_retired_fields(self):
-        # v7 and v8 references still carry the retired engines' fields,
-        # with speedups far below those engines' old floors; a current
-        # run has none of them. Neither side may trip the gate.
+    def test_gate_refuses_foreign_schema_reference(self):
+        # A reference of another schema is not compared field by field:
+        # the gate fails with one error asking for a re-record.
         new = _synthetic_result()
-        assert not set(RETIRED_FLAGS_FIELDS) & set(new["modes"]["flags"])
-        for version, retired in (
-            (7, RETIRED_FLAGS_FIELDS), (8, RETIRED_V9_FIELDS),
-        ):
+        for schema in ("repro-bench-hotpath/9", None):
             old = _synthetic_result()
-            old["schema"] = f"repro-bench-hotpath/{version}"
-            for field in retired:
-                old["modes"]["flags"][field] = 0.5
-            assert gate_bench(old, new, pct=0.30) == []
-            assert "+0.0%" in compare_bench(old, new)
-
-    def test_gate_ignores_pipeline_when_reference_lacks_it(self):
-        old = _synthetic_result()
-        new = _synthetic_result()
-        new["pipeline"] = _synthetic_pipeline(speedup=1.0)
-        assert gate_bench(old, new, pct=0.30) == []
-
-    def test_gate_requires_pipeline_when_reference_has_it(self):
-        old = _synthetic_result()
-        old["pipeline"] = _synthetic_pipeline()
-        new = _synthetic_result()
-        errors = gate_bench(old, new, pct=0.30)
-        assert any("--pipeline" in e for e in errors)
-
-    def test_gate_fails_slow_or_unequal_pipeline(self):
-        old = _synthetic_result()
-        old["pipeline"] = _synthetic_pipeline()
-        slow = _synthetic_result()
-        slow["pipeline"] = _synthetic_pipeline(
-            speedup=GATE_PIPELINE_FLOOR - 0.5
-        )
-        assert any(
-            "pipeline" in e for e in gate_bench(old, slow, pct=0.30)
-        )
-        unequal = _synthetic_result()
-        unequal["pipeline"] = _synthetic_pipeline(identical=False)
-        assert any(
-            "identical" in e for e in gate_bench(old, unequal, pct=0.30)
-        )
-
-    def test_gate_passes_healthy_pipeline(self):
-        old = _synthetic_result()
-        old["pipeline"] = _synthetic_pipeline()
-        new = _synthetic_result()
-        new["pipeline"] = _synthetic_pipeline(speedup=6.0)
-        assert gate_bench(old, new, pct=0.30) == []
-
-
-class TestServiceSection:
-    def test_validate_accepts_missing_service(self):
-        assert validate_bench(_synthetic_result()) == []
-
-    def test_validate_accepts_healthy_service(self):
-        data = _synthetic_result()
-        data["service"] = _synthetic_service()
-        assert validate_bench(data) == []
-
-    def test_validate_rejects_corrupt_service(self):
-        data = _synthetic_result()
-        data["service"] = _synthetic_service()
-        data["service"]["single_flight_dedupe"] = "lots"
-        assert any(
-            "service.single_flight_dedupe" in e
-            for e in validate_bench(data)
-        )
-        data["service"] = [1, 2]
-        assert any("'service'" in e for e in validate_bench(data))
-
-    def test_validate_rejects_broken_request_accounting(self):
-        # executed + coalesced + cache_hit_requests must equal requests
-        # — the daemon counters account for every request exactly once.
-        data = _synthetic_result()
-        data["service"] = _synthetic_service()
-        data["service"]["executed"] += 1
-        assert any(
-            "cache_hit_requests" in e for e in validate_bench(data)
-        )
-
-    def test_gate_ignores_service_when_reference_lacks_it(self):
-        old = _synthetic_result()
-        new = _synthetic_result()
-        new["service"] = _synthetic_service(dedupe=1.0, speedup=0.5)
-        assert gate_bench(old, new, pct=0.30) == []
-
-    def test_gate_requires_service_when_reference_has_it(self):
-        old = _synthetic_result()
-        old["service"] = _synthetic_service()
-        new = _synthetic_result()
-        errors = gate_bench(old, new, pct=0.30)
-        assert any("--service" in e for e in errors)
-
-    def test_gate_fails_degraded_service(self):
-        old = _synthetic_result()
-        old["service"] = _synthetic_service()
-        weak_dedupe = _synthetic_result()
-        weak_dedupe["service"] = _synthetic_service(
-            dedupe=GATE_SERVICE_DEDUPE_FLOOR - 0.5
-        )
-        assert any(
-            "dedupe" in e
-            for e in gate_bench(old, weak_dedupe, pct=0.30)
-        )
-        slow = _synthetic_result()
-        slow["service"] = _synthetic_service(
-            speedup=GATE_SERVICE_SPEEDUP_FLOOR - 0.5
-        )
-        assert any(
-            "throughput" in e for e in gate_bench(old, slow, pct=0.30)
-        )
-        unequal = _synthetic_result()
-        unequal["service"] = _synthetic_service(mismatches=3)
-        assert any(
-            "bit-identical" in e
-            for e in gate_bench(old, unequal, pct=0.30)
-        )
-
-    def test_gate_passes_healthy_service(self):
-        old = _synthetic_result()
-        old["service"] = _synthetic_service()
-        new = _synthetic_result()
-        new["service"] = _synthetic_service(dedupe=2.5, speedup=4.0)
-        assert gate_bench(old, new, pct=0.30) == []
-
-    def test_compare_reports_service_deltas(self):
-        old = _synthetic_result()
-        old["service"] = _synthetic_service(dedupe=3.0)
-        new = _synthetic_result()
-        new["service"] = _synthetic_service(dedupe=2.5)
-        table = compare_bench(old, new)
-        assert "single-flight dedupe" in table
-        assert "throughput" in table
+            old["schema"] = schema
+            errors = gate_bench(old, new, pct=0.30)
+            assert len(errors) == 1
+            assert "re-record" in errors[0] and SCHEMA in errors[0]
+            table = compare_bench(old, new)
+            assert "re-record" in table and "Δnorm%" not in table
 
 
 class TestCli:

@@ -13,9 +13,11 @@ The serving contract under test:
 * failures propagate to every coalesced waiter as error responses and
   never poison the key or leak a pin;
 * the daemon survives injected faults: a worker killed mid-request
-  fails only that request, a request asking for multi-SM fan-out and
-  an over-limit request line both get error responses, and the daemon
-  keeps serving;
+  fails only that request, a request naming a kwarg its flow does not
+  take is refused before it reaches the pool, an over-limit request
+  line gets an error response, and the daemon keeps serving;
+* a disk-capped daemon keeps serving correct answers while the LRU
+  evictor holds its cache under the cap;
 * the memoized request key equals the key of the rebuilt spec, so a
   daemon restarted on a warm disk cache answers from it.
 """
@@ -23,6 +25,7 @@ The serving contract under test:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
 import json
 import os
@@ -36,11 +39,11 @@ import threading
 import pytest
 
 import repro
-from repro.analysis.runners import run_flow, spec_fingerprint
+from repro.analysis.runners import FLOW_KWARGS, run_flow, spec_fingerprint
 from repro.arch import GPUConfig
 from repro.cache import ResultCache, swap_cache
 from repro.experiments.planner import SweepPlan
-from repro.service import loadgen, protocol
+from repro.service import protocol
 from repro.service.client import (
     ServiceClient,
     ServiceError,
@@ -110,6 +113,27 @@ class TestProtocol:
         ):
             with pytest.raises(protocol.ProtocolError):
                 protocol.request_to_spec(broken)
+
+    def test_every_accepted_kwarg_name_is_accepted(self):
+        samples = {
+            "config": GPUConfig.renamed(),
+            "base_config": GPUConfig.baseline(),
+            "waves": 1,
+            "shrunk_bytes": 64 * 1024,
+            "sample_interval": 0,
+            "trace_warp_slots": [0],
+            "spill_enabled": True,
+            "max_cycles": 1000,
+            "cycle_skip": False,
+        }
+        assert set().union(*FLOW_KWARGS.values()) == set(samples)
+        for flow, names in FLOW_KWARGS.items():
+            spec = _spec(flow, **{name: samples[name] for name in names})
+            rebuilt = protocol.request_to_spec(
+                protocol.spec_to_request(spec)
+            )
+            assert set(rebuilt[2]) == names
+            assert spec_fingerprint(rebuilt) == spec_fingerprint(spec)
 
     def test_encode_rejects_opaque_kwarg_values(self):
         class Opaque:
@@ -463,20 +487,24 @@ class TestFaults:
 
     def test_fanout_kwargs_get_an_error_response(self):
         """The simulator drives one SM in one process: a request asking
-        for multi-SM fan-out fails cleanly inside the pool worker
-        instead of spawning processes there, and the daemon keeps
+        for multi-SM fan-out names kwargs no flow takes, so the protocol
+        refuses it before any pool exists, and the daemon keeps
         serving."""
+        request = protocol.spec_to_request(_spec(sim_sms=2, jobs=2), id=5)
+        with pytest.raises(protocol.ProtocolError) as refused:
+            protocol.request_to_spec(request)
+        message = str(refused.value)
+        assert "unknown kwargs field(s) ['jobs', 'sim_sms']" in message
+        assert "'baseline'" in message
+
         async def scenario():
             daemon = SimulationDaemon(cache=ResultCache(), jobs=1)
             try:
-                response = await daemon.handle_request(
-                    protocol.spec_to_request(
-                        _spec(sim_sms=2, jobs=2), id=5
-                    )
-                )
+                response = await daemon.handle_request(request)
                 assert response["ok"] is False
                 assert response["id"] == 5
-                assert "unexpected keyword argument" in response["error"]
+                assert response["error"] == message
+                assert daemon._executor is None
                 assert not daemon._inflight
                 assert not daemon.cache.pinned()
 
@@ -538,31 +566,60 @@ class TestFaults:
         asyncio.run(scenario())
 
 
+def _direct_payload(spec):
+    """The response body of a direct, uncached run of ``spec``."""
+    previous = swap_cache(ResultCache(enabled=False))
+    try:
+        return protocol.response_payload(spec[0], run_flow(spec))
+    finally:
+        swap_cache(previous)
+
+
+def _assert_matches_direct(served, direct):
+    """The correctness contract: every SimStats field of the served
+    payload equals the direct uncached run's."""
+    for field in dataclasses.fields(SimStats):
+        assert (
+            served["stats"][field.name] == direct["stats"][field.name]
+        ), field.name
+    for field in ("mode", "ctas_simulated", "cycles", "instructions"):
+        assert served[field] == direct[field]
+
+
+def _strip(response):
+    """A response without its per-request labels."""
+    return {k: v for k, v in response.items() if k not in ("served", "id")}
+
+
+@contextlib.contextmanager
+def _serving(address, cache):
+    """A ``serve()`` thread with a one-worker process pool on
+    ``address``, shut down on exit."""
+    ready = threading.Event()
+    thread = threading.Thread(
+        target=serve,
+        kwargs=dict(address=address, cache=cache, jobs=1, ready=ready.set),
+        daemon=True,
+    )
+    thread.start()
+    try:
+        assert ready.wait(timeout=30)
+        wait_until_ready(address, timeout=30)
+        yield
+        with ServiceClient.connect(address) as client:
+            client.shutdown()
+    finally:
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+
+
 class TestEndToEnd:
     def test_unix_socket_serving_matches_direct_run(self, tmp_path):
         address = str(tmp_path / "svc.sock")
         cache = ResultCache(directory=tmp_path / "cache")
-        ready = threading.Event()
-        thread = threading.Thread(
-            target=serve,
-            kwargs=dict(
-                address=address, cache=cache, jobs=1, ready=ready.set
-            ),
-            daemon=True,
-        )
-        thread.start()
-        try:
-            assert ready.wait(timeout=30)
-            wait_until_ready(address, timeout=30)
-            spec = _spec()
-            previous = swap_cache(ResultCache(enabled=False))
-            try:
-                direct = protocol.response_payload(
-                    "baseline", run_flow(spec)
-                )
-            finally:
-                swap_cache(previous)
-
+        spec = _spec()
+        direct = _direct_payload(spec)
+        with _serving(address, cache):
             with ServiceClient.connect(address) as client:
                 assert client.ping()["pong"] is True
 
@@ -570,24 +627,11 @@ class TestEndToEnd:
                 assert first["ok"] is True
                 assert first["id"] == 7
                 assert first["served"] == "executed"
-                # The correctness contract: every SimStats field of the
-                # served payload equals the direct uncached run's.
-                for field in dataclasses.fields(SimStats):
-                    assert (
-                        first["stats"][field.name]
-                        == direct["stats"][field.name]
-                    ), field.name
-                for field in ("mode", "ctas_simulated", "cycles",
-                              "instructions"):
-                    assert first[field] == direct[field]
+                _assert_matches_direct(first, direct)
 
                 second = client.submit(protocol.spec_to_request(spec))
                 assert second["served"] == "cache"
-                strip = lambda r: {  # noqa: E731
-                    k: v for k, v in r.items()
-                    if k not in ("served", "id")
-                }
-                assert strip(second) == strip(first)
+                assert _strip(second) == _strip(first)
 
                 stats = client.stats()
                 assert stats["executed"] == 1
@@ -604,10 +648,75 @@ class TestEndToEnd:
                          "workload": "vectoradd"}
                     )
                 assert client.ping()["pong"] is True
-                client.shutdown()
-        finally:
-            thread.join(timeout=30)
-        assert not thread.is_alive()
+
+    def test_flash_crowd_executes_once(self, tmp_path):
+        """K open connections send the same request at once: one
+        simulation runs on the real pool and the other K - 1 requests
+        coalesce onto it."""
+        k = 6
+        address = str(tmp_path / "svc.sock")
+        spec = _spec("virtualized", name="matrixmul", scale=0.5)
+        direct = _direct_payload(spec)
+        with _serving(address, ResultCache()):
+            with contextlib.ExitStack() as stack:
+                conns = []
+                for _ in range(k):
+                    conn = stack.enter_context(
+                        socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                    )
+                    conn.settimeout(60)
+                    conn.connect(address)
+                    conns.append(
+                        (conn, stack.enter_context(conn.makefile("rb")))
+                    )
+                # Every connection is accepted before the burst.
+                for conn, stream in conns:
+                    conn.sendall(protocol.encode_line({"op": "ping"}))
+                    assert protocol.decode_line(stream.readline())["pong"]
+                line = protocol.encode_line(protocol.spec_to_request(spec))
+                for conn, _ in conns:
+                    conn.sendall(line)
+                responses = [
+                    protocol.decode_line(stream.readline())
+                    for _, stream in conns
+                ]
+            with ServiceClient.connect(address) as client:
+                stats = client.stats()
+        assert stats["executed"] == 1
+        assert stats["coalesced"] == k - 1
+        assert sorted(r["served"] for r in responses) == (
+            ["coalesced"] * (k - 1) + ["executed"]
+        )
+        bodies = [_strip(r) for r in responses]
+        assert all(body == bodies[0] for body in bodies)
+        _assert_matches_direct(bodies[0], direct)
+
+    def test_capped_daemon_keeps_serving_correctly(self, tmp_path):
+        """A daemon over a disk cache capped at about three response
+        entries evicts, stays under the cap and still answers every
+        request with the direct run's payload."""
+        cap = 4096
+        address = str(tmp_path / "svc.sock")
+        cache = ResultCache(directory=tmp_path / "cache", max_bytes=cap)
+        specs = [
+            _spec(name=name) for name in ("vectoradd", "gaussian", "bfs")
+        ] + [_spec("virtualized"), _spec("hardware_only")]
+        direct = [_direct_payload(spec) for spec in specs]
+        with _serving(address, cache):
+            with ServiceClient.connect(address) as client:
+                served = [
+                    client.submit(protocol.spec_to_request(spec))
+                    for spec in specs
+                ]
+                again = client.submit(protocol.spec_to_request(specs[0]))
+                stats = client.stats()
+        assert [r["served"] for r in served] == ["executed"] * len(specs)
+        assert stats["cache"]["evictions"] > 0
+        assert stats["cache"]["disk_bytes"] <= cap
+        assert _strip(again) == _strip(served[0])
+        for response, expected in zip(served + [again], direct + direct[:1]):
+            _assert_matches_direct(response, expected)
+        assert not cache.pinned()
 
 
 def _spawn_daemon(address, cache_dir):
@@ -675,70 +784,6 @@ class TestRestart:
                     after["stats"][field.name]
                     == before["stats"][field.name]
                 ), field.name
-
-
-class TestLoadgen:
-    def test_build_mix_is_deterministic_and_exact(self):
-        universe = [("baseline", i) for i in range(32)]
-        flows, counts = loadgen.build_mix(
-            universe, requests=60, unique=20, zipf_s=1.1, seed=7
-        )
-        again = loadgen.build_mix(
-            universe, requests=60, unique=20, zipf_s=1.1, seed=7
-        )
-        assert (flows, counts) == again
-        assert len(flows) == 20
-        assert len(set(map(tuple, flows))) == 20
-        assert sum(counts) == 60
-        assert all(count >= 1 for count in counts)
-
-    def test_build_mix_validates_bounds(self):
-        universe = [("baseline", i) for i in range(4)]
-        with pytest.raises(ValueError):
-            loadgen.build_mix(universe, 10, 5, 1.1, 0)
-        with pytest.raises(ValueError):
-            loadgen.build_mix(universe, 2, 4, 1.1, 0)
-
-    def test_build_waves_packs_flash_crowds(self):
-        counts = [10, 3, 2, 1]
-        waves = loadgen.build_waves(counts, clients=8)
-        dispatched = [0] * len(counts)
-        for wave in waves:
-            assert 0 < len(wave) <= 8
-            for flow in wave:
-                dispatched[flow] += 1
-        assert dispatched == counts
-        # The hottest flow floods the first wave — the flash crowd the
-        # daemon must absorb with one execution.
-        assert waves[0] == [0] * 8
-
-    def test_gate_load(self):
-        record = {
-            "single_flight_dedupe": 3.0, "verified": True,
-            "mismatches": 0, "throughput_speedup": 6.0,
-        }
-        assert loadgen.gate_load(record) == []
-        assert loadgen.gate_load(dict(record, single_flight_dedupe=1.2))
-        assert loadgen.gate_load(dict(record, mismatches=2))
-        assert loadgen.gate_load(dict(record, verified=False))
-        assert loadgen.gate_load(record, speedup_floor=8.0)
-
-    def test_diff_fields_pinpoints_mismatches(self):
-        served = {"mode": "baseline", "stats": {"cycles": 2, "x": 1}}
-        direct = {"mode": "baseline", "stats": {"cycles": 2, "x": 1}}
-        assert loadgen._diff_fields(served, direct) == []
-        assert loadgen._diff_fields(
-            dict(served, stats={"cycles": 3, "x": 1}), direct
-        ) == ["stats.cycles"]
-        assert loadgen._diff_fields(
-            dict(served, mode="flags"), direct
-        ) == ["mode"]
-
-    def test_flow_universe_is_wire_encodable(self):
-        specs = loadgen.flow_universe(scale=0.25, waves=1)
-        assert len(specs) == 32
-        for spec in specs[:4]:
-            protocol.encode_line(protocol.spec_to_request(spec))
 
 
 class TestPlannerRequests:
